@@ -42,7 +42,7 @@ use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, ParseHistogram, Telemetry, PARSE_HIST_BOUNDS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which language frontend analyzes a file, decided by its extension.
@@ -469,43 +469,48 @@ pub fn analyze_corpus_with(
     let threads = opts.threads.max(1).min(n.max(1));
     let salt = if opts.cache.is_some() { option_salt(opts) } else { 0 };
 
-    let mut slots: Vec<Option<FileSlot>> = (0..n).map(|_| None).collect();
-    if threads <= 1 {
-        for (i, (_, path, content)) in inputs.iter().enumerate() {
-            slots[i] = Some(analyze_one_cached(path, content, FileId(i as u32), opts, salt));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let results = Mutex::new(Vec::<(usize, FileSlot)>::new());
-        std::thread::scope(|scope| {
-            for (t, chunk_inputs) in inputs.chunks(chunk).enumerate() {
-                let results = &results;
-                scope.spawn(move || {
-                    let base = t * chunk;
-                    let mut local = Vec::with_capacity(chunk_inputs.len());
-                    // Drain the whole chunk: a bad file never starves the
-                    // files behind it of analysis.
-                    for (off, (_, path, content)) in chunk_inputs.iter().enumerate() {
-                        let i = base + off;
-                        local.push((
-                            i,
-                            analyze_one_cached(path, content, FileId(i as u32), opts, salt),
-                        ));
-                    }
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(local);
-                });
+    // Each worker folds its contiguous chunk into its own shard as each
+    // file finishes, so at most one per-file graph per worker is alive.
+    // A single chunk runs inline on this thread.
+    let chunk = n.div_ceil(threads);
+    let timed = opts.telemetry.is_active();
+    let analyze_chunk = |t: usize, chunk_inputs: &[(usize, &str, &str)]| {
+        let base = t * chunk;
+        let mut shard = Shard {
+            graph: PropagationGraph::new(),
+            slots: Vec::with_capacity(chunk_inputs.len()),
+            fold_time: Duration::ZERO,
+        };
+        // Drain the whole chunk: a bad file never starves the files
+        // behind it of analysis.
+        for (off, (_, path, content)) in chunk_inputs.iter().enumerate() {
+            let i = base + off;
+            let mut slot = analyze_one_cached(path, content, FileId(i as u32), opts, salt);
+            if let Some(g) = slot.graph.take() {
+                let folded = timed.then(Instant::now);
+                shard.graph.append(g);
+                shard.fold_time += folded.map_or(Duration::ZERO, |t| t.elapsed());
             }
-        });
-        for (i, r) in results.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            slots[i] = Some(r);
+            shard.slots.push(slot);
         }
-    }
+        shard
+    };
+    let mut shards: Vec<Shard> = if threads <= 1 {
+        vec![analyze_chunk(0, &inputs)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = inputs
+                .chunks(chunk)
+                .enumerate()
+                .map(|(t, chunk_inputs)| scope.spawn(move || analyze_chunk(t, chunk_inputs)))
+                .collect();
+            // Joining in spawn order keeps the shards in chunk (and
+            // therefore corpus) order.
+            handles.into_iter().map(|h| h.join().expect("analysis worker panicked")).collect()
+        })
+    };
+    let slots = shards.iter_mut().flat_map(|s| std::mem::take(&mut s.slots));
 
-    let mut graphs: Vec<Option<PropagationGraph>> = Vec::with_capacity(n);
     let mut files = Vec::with_capacity(n);
     let mut reports = Vec::with_capacity(n);
     let mut cache_faults = Vec::new();
@@ -518,12 +523,10 @@ pub fn analyze_corpus_with(
     // Per-frontend parse-time buckets: only meaningful when the timed
     // builders ran (an inactive handle reads no clocks, so every duration
     // would land in the first bucket as noise).
-    let timed = opts.telemetry.is_active();
     let mut parse_hist: Vec<ParseHistogram> =
         Frontend::ALL.iter().map(|f| ParseHistogram::new(f.label())).collect();
     let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
-    for (i, (project, path, _)) in inputs.iter().enumerate() {
-        let slot = slots[i].take().expect("every index 0..n is written exactly once above");
+    for ((project, path, _), slot) in inputs.iter().zip(slots) {
         if opts.policy == FaultPolicy::FailFast {
             // Deterministic: the lowest-index bad file wins regardless of
             // which worker finished first.
@@ -549,7 +552,6 @@ pub fn analyze_corpus_with(
         for fault in slot.faults {
             cache_faults.push(CacheFaultReport { path: path.to_string(), fault });
         }
-        graphs.push(slot.graph);
         files.push(FileMeta { project: *project, path: path.to_string() });
         reports.push(FileReport {
             project: *project,
@@ -561,8 +563,13 @@ pub fn analyze_corpus_with(
     // Parse and graph construction run per file across workers, so their
     // cost is the summed per-file time (aggregate spans), not a driver
     // wall-clock interval. Per-project parse shares nest as children of
-    // the parse stage span.
-    let parse_idx = tele.aggregate_span(stage::PARSE, timings.parse, &[("files", n as f64)]);
+    // the parse stage span; its `threads` counter says over how many
+    // workers the parse and propgraph times are summed.
+    let parse_idx = tele.aggregate_span(
+        stage::PARSE,
+        timings.parse,
+        &[("files", n as f64), ("threads", threads as f64)],
+    );
     if parse_idx.is_some() {
         for (project, (dur, parsed)) in project_parse.iter().enumerate() {
             if *parsed == 0 {
@@ -599,19 +606,21 @@ pub fn analyze_corpus_with(
     }
     let union_span = tele.span(stage::UNION);
     let union_idx = union_span.index();
-    let (graph, shards) = union_all(&mut graphs, threads);
+    let shard_stats: Vec<(Duration, usize)> =
+        shards.iter().map(|s| (s.fold_time, s.graph.event_count())).collect();
+    let graph = union_all(shards.into_iter().map(|s| s.graph).collect());
     union_span.counter("events", graph.event_count() as f64);
     union_span.counter("edges", graph.edge_count() as f64);
     union_span.counter("symbols", seldon_intern::len() as f64);
     drop(union_span);
-    // Per-shard union timings nest under the union span (empty when the
-    // union ran sequentially).
-    for (shard, (dur, events)) in shards.iter().enumerate() {
+    // One child per shard: the time spent folding its per-file graphs
+    // in, and the events it contributed.
+    for (i, (fold_time, events)) in shard_stats.iter().enumerate() {
         tele.aggregate_child(
             union_idx,
             stage::UNION_SHARD,
-            *dur,
-            &[("shard", shard as f64), ("events", *events as f64)],
+            *fold_time,
+            &[("shard", i as f64), ("events", *events as f64)],
         );
     }
     Ok((
@@ -626,69 +635,33 @@ pub fn analyze_corpus_with(
     ))
 }
 
-/// Folds per-file graphs into one global graph, sharded across `threads`.
+/// One contiguous chunk's output: its graphs folded into one shard, and
+/// its graph-less slots in file order.
+struct Shard {
+    graph: PropagationGraph,
+    slots: Vec<FileSlot>,
+    /// Time spent folding per-file graphs into `graph` (zero when
+    /// telemetry is off: the untimed path reads no clocks).
+    fold_time: Duration,
+}
+
+/// Folds the worker shards into one global graph, in corpus order.
 ///
 /// `union` is an order-preserving concatenation (event ids shift by the
 /// running event count), so it is associative: folding contiguous chunks
-/// into per-thread shards and then folding the shards in chunk order
+/// into per-worker shards and then folding the shards in chunk order
 /// produces byte-identical event identity to the sequential left fold.
-/// Each worker touches only its own chunk; the final shard merge is
-/// `threads − 1` cheap bulk copies.
-///
-/// Also returns each shard's `(fold time, event count)` in shard order for
-/// the `union.shard` child spans — empty for the sequential path.
-fn union_all(
-    graphs: &mut [Option<PropagationGraph>],
-    threads: usize,
-) -> (PropagationGraph, Vec<(Duration, usize)>) {
-    let total_events: usize =
-        graphs.iter().map(|g| g.as_ref().map_or(0, PropagationGraph::event_count)).sum();
-    let mut graph = PropagationGraph::new();
-    graph.reserve_events(total_events);
-    if threads <= 1 || graphs.len() <= 1 {
-        for slot in graphs {
-            if let Some(g) = slot.take() {
-                graph.union(&g);
-            }
-        }
-        return (graph, Vec::new());
+/// The first part becomes the global graph and the others are moved onto
+/// it ([`PropagationGraph::append`]), so no adjacency list is copied.
+fn union_all(parts: Vec<PropagationGraph>) -> PropagationGraph {
+    let total: usize = parts.iter().map(PropagationGraph::event_count).sum();
+    let mut parts = parts.into_iter();
+    let mut graph = parts.next().unwrap_or_default();
+    graph.reserve_events(total - graph.event_count());
+    for part in parts {
+        graph.append(part);
     }
-    let chunk = graphs.len().div_ceil(threads);
-    let shards: Vec<(PropagationGraph, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .chunks_mut(chunk)
-            .map(|slots| {
-                scope.spawn(move || {
-                    let shard_started = Instant::now();
-                    let mut shard = PropagationGraph::new();
-                    shard.reserve_events(
-                        slots
-                            .iter()
-                            .map(|g| g.as_ref().map_or(0, PropagationGraph::event_count))
-                            .sum(),
-                    );
-                    for slot in slots {
-                        if let Some(g) = slot.take() {
-                            shard.union(&g);
-                        }
-                    }
-                    (shard, shard_started.elapsed())
-                })
-            })
-            .collect();
-        // Joining in spawn order keeps the shard sequence aligned with the
-        // chunk (and therefore corpus) order.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard union worker panicked"))
-            .collect()
-    });
-    let mut shard_timings = Vec::with_capacity(shards.len());
-    for (shard, dur) in &shards {
-        graph.union(shard);
-        shard_timings.push((*dur, shard.event_count()));
-    }
-    (graph, shard_timings)
+    graph
 }
 
 /// Parses every file of `corpus` and unions the per-file graphs.

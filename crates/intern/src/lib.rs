@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
@@ -37,7 +38,9 @@ use std::sync::{OnceLock, RwLock};
 ///
 /// Equality and hashing are integer operations. The derived `Ord` compares
 /// handle order (first-interned first), *not* lexicographic order — resolve
-/// with [`Symbol::as_str`] before sorting user-visible output.
+/// with [`Symbol::as_str`] before sorting user-visible output. Handle order
+/// depends on which thread interns a string first, so no output may depend
+/// on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
@@ -66,8 +69,10 @@ impl fmt::Display for Symbol {
 /// A thread-safe string interner.
 ///
 /// Lookups take a read lock; only the first interning of a string takes the
-/// write lock. Interned strings are leaked so that [`Interner::resolve`]
-/// can hand out `&'static str` without holding any lock.
+/// write lock. The global [`intern`] puts a per-thread cache in front of
+/// both, so a warm analysis worker takes no lock to intern. Interned
+/// strings are leaked so that [`Interner::resolve`] can hand out
+/// `&'static str` without holding any lock.
 #[derive(Debug, Default)]
 pub struct Interner {
     inner: RwLock<Inner>,
@@ -131,19 +136,31 @@ impl Interner {
 
 static GLOBAL: OnceLock<Interner> = OnceLock::new();
 
+thread_local! {
+    /// This thread's view of the global interner's text → symbol map.
+    /// Symbols never change once handed out, so the cache never needs
+    /// invalidating; it is filled on misses and dropped with the thread.
+    static CACHE: RefCell<HashMap<&'static str, Symbol>> = RefCell::default();
+}
+
 /// The process-wide interner behind [`intern`] / [`Symbol::as_str`].
 pub fn global() -> &'static Interner {
     GLOBAL.get_or_init(Interner::new)
 }
 
-/// Interns `text` in the global interner.
+/// Interns `text` in the global interner, through this thread's cache.
 pub fn intern(text: &str) -> Symbol {
-    global().intern(text)
+    if let Some(sym) = CACHE.with_borrow(|cache| cache.get(text).copied()) {
+        return sym;
+    }
+    let sym = global().intern(text);
+    CACHE.with_borrow_mut(|cache| cache.insert(resolve(sym), sym));
+    sym
 }
 
 /// Looks up `text` in the global interner without interning it.
 pub fn lookup(text: &str) -> Option<Symbol> {
-    global().get(text)
+    CACHE.with_borrow(|cache| cache.get(text).copied()).or_else(|| global().get(text))
 }
 
 /// Resolves a symbol of the global interner.

@@ -222,6 +222,28 @@ impl PropagationGraph {
         offset
     }
 
+    /// [`union`](Self::union) that consumes `other`, moving its adjacency
+    /// lists instead of copying them.
+    pub fn append(&mut self, mut other: PropagationGraph) -> u32 {
+        let offset = self.events.len() as u32;
+        for list in other.succs.iter_mut().chain(other.preds.iter_mut()) {
+            for id in list.iter_mut() {
+                id.0 += offset;
+            }
+        }
+        let shift = |id: EventId| EventId(id.0 + offset);
+        self.events.append(&mut other.events);
+        self.succs.append(&mut other.succs);
+        self.preds.append(&mut other.preds);
+        self.receiver_edges
+            .extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
+        self.arg_positions.extend(
+            other.arg_positions.into_iter().map(|((f, t), pos)| ((shift(f), shift(t)), pos)),
+        );
+        self.edge_count += other.edge_count;
+        offset
+    }
+
     /// Pre-allocates room for `events` additional events, for bulk unions.
     pub fn reserve_events(&mut self, events: usize) {
         self.events.reserve(events);
@@ -455,6 +477,32 @@ mod tests {
         assert_eq!(g1.arg_position(a, c), Some(&ArgPos::Positional(1)));
         assert_eq!(g1.edge_count(), 2);
         assert_eq!(g1.predecessors(b), &[a]);
+    }
+
+    #[test]
+    fn append_equals_union() {
+        let mut g2 = PropagationGraph::new();
+        let a = g2.add_event(ev("a()"));
+        let b = g2.add_event(ev("b()"));
+        let c = g2.add_event(ev("c()"));
+        g2.add_edge_kind(a, b, EdgeKind::Receiver);
+        g2.add_edge_kind(a, c, EdgeKind::Argument);
+        g2.set_arg_position(a, c, ArgPos::Keyword("data".into()));
+        let mut by_copy = PropagationGraph::new();
+        chain(&mut by_copy, &["x()", "y()"]);
+        let mut by_move = by_copy.clone();
+        assert_eq!(by_copy.union(&g2), by_move.append(g2));
+        assert_eq!(by_move.event_count(), by_copy.event_count());
+        assert_eq!(by_move.edge_count(), by_copy.edge_count());
+        assert!(by_move.edges().eq(by_copy.edges()));
+        for (from, to) in by_copy.edges() {
+            assert_eq!(by_move.edge_kind(from, to), by_copy.edge_kind(from, to));
+            assert_eq!(by_move.arg_position(from, to), by_copy.arg_position(from, to));
+            assert_eq!(by_move.predecessors(to), by_copy.predecessors(to));
+        }
+        for ((_, m), (_, c)) in by_move.events().zip(by_copy.events()) {
+            assert_eq!(m.reps, c.reps);
+        }
     }
 
     #[test]

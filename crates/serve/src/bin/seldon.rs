@@ -7,10 +7,15 @@
 //! seldon graph   <file.py|file.js> [--dot]
 //! seldon ir-dump <file.py|file.js>
 //! seldon check   <path...> [--spec <spec.txt>] [--param-sensitive]
+//!                          [--threads <n>]
 //! seldon learn   <path...> [--seed <spec.txt>] [--out <learned.txt>]
-//!                          [--cache-dir <dir>] [--no-cache]
+//!                          [--cache-dir <dir>] [--no-cache] [--threads <n>]
 //!                          [--telemetry <out.json>] [--trace <out.trace.json>]
 //! ```
+//!
+//! `check` and `learn` analyse files on `--threads <n>` worker threads
+//! (default and `0`: all cores); the output is byte-identical for every
+//! count. `serve` analyses one file per delta, so it stays sequential.
 //!
 //! `ir-dump` prints the lowered language-neutral IR event/op stream of one
 //! file — the exact trace the graph builder replays — for diffing
@@ -54,7 +59,7 @@ use seldon_specs::{paper_seed, TaintSpec};
 use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_telemetry::json::{self, Json};
-use seldon_telemetry::{diff_manifests, DiffOptions, Level, RunManifest, Telemetry};
+use seldon_telemetry::{diff_manifests, stage, DiffOptions, Level, RunManifest, Telemetry};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -122,9 +127,10 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   seldon graph   <file.py|file.js> [--dot] [--strict|--lenient] [--log-level off|info|debug]
   seldon ir-dump <file.py|file.js>
-  seldon check   <path...> [--spec <spec.txt>] [--param-sensitive] [--format json] [--strict|--lenient] [--log-level off|info|debug]
+  seldon check   <path...> [--spec <spec.txt>] [--param-sensitive] [--format json] [--strict|--lenient]
+                 [--threads <n>] [--log-level off|info|debug]
   seldon learn   <path...> [--seed <spec.txt>] [--out <learned.txt>] [--strict|--lenient]
-                 [--cache-dir <dir>] [--no-cache] [--solver-threads <n>]
+                 [--cache-dir <dir>] [--no-cache] [--threads <n>] [--solver-threads <n>]
                  [--early-stop|--no-early-stop]
                  [--telemetry <manifest.json>] [--trace <out.trace.json>]
                  [--score-dump] [--log-level off|info|debug]
@@ -138,6 +144,7 @@ const USAGE: &str = "usage:
   seldon diff-runs <baseline.json> <candidate.json> [--tolerance <pct>]
 
 paths may mix .py (Python frontend) and .js (JS-like frontend) files
+--threads / --solver-threads: 0 means all cores; --threads defaults to all cores
 exit codes: 0 clean; 1 violations found, degraded analysis, or run regression; 2 usage error";
 
 /// Directory recursion bound; also caps how far a symlink chain can lead.
@@ -262,6 +269,18 @@ fn policy_from_flags(flags: &[&str]) -> Result<FaultPolicy, CliError> {
     }
 }
 
+/// A thread-count option: absent means `default`, `0` means all cores.
+/// Every count yields byte-identical output; it is purely a cost knob.
+fn thread_count(opts: &HashMap<&str, &str>, flag: &str, default: usize) -> Result<usize, CliError> {
+    let t = match opts.get(flag) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| CliError::usage(format!("{flag} expects a number, got `{v}`")))?,
+        None => default,
+    };
+    Ok(if t == 0 { std::thread::available_parallelism().map_or(1, |n| n.get()) } else { t })
+}
+
 /// The stderr log level from `--log-level` (default off).
 fn level_from_opts(opts: &HashMap<&str, &str>) -> Result<Level, CliError> {
     match opts.get("--log-level") {
@@ -316,25 +335,29 @@ fn read_corpus(files: &[PathBuf]) -> Result<(Corpus, Vec<String>, usize), CliErr
 }
 
 /// The [`AnalyzeOptions`] every command uses: `policy` plus default
-/// budgets, with stage telemetry wired through.
-fn cli_analyze_opts(policy: FaultPolicy, tele: &Telemetry) -> AnalyzeOptions {
+/// budgets on `threads` analysis workers, with stage telemetry wired
+/// through.
+fn cli_analyze_opts(policy: FaultPolicy, tele: &Telemetry, threads: usize) -> AnalyzeOptions {
     AnalyzeOptions {
         policy,
         budget: Some(Budget::default()),
+        threads,
         telemetry: tele.clone(),
         ..Default::default()
     }
 }
 
 /// Reads `files`, wraps them as a single-project corpus, and runs the
-/// fault-tolerant pipeline over it under `policy` with default budgets.
+/// fault-tolerant pipeline over it under `policy` with default budgets on
+/// `threads` workers.
 fn analyze_files(
     files: &[PathBuf],
     policy: FaultPolicy,
     tele: &Telemetry,
+    threads: usize,
 ) -> Result<Analysis, CliError> {
     let (corpus, names, io_skipped) = read_corpus(files)?;
-    let opts = cli_analyze_opts(policy, tele);
+    let opts = cli_analyze_opts(policy, tele, threads);
     let (analyzed, report) = analyze_corpus_with(&corpus, &opts)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     Ok(Analysis { analyzed, report, names, io_skipped })
@@ -371,7 +394,7 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
     let policy = policy_from_flags(&flags)?;
     let tele = Telemetry::disabled().with_log_level(level_from_opts(&opts)?);
     let files = require_files(collect_source_files(&paths)?)?;
-    let analysis = analyze_files(&files, policy, &tele)?;
+    let analysis = analyze_files(&files, policy, &tele, 1)?;
     print_degradation(&analysis);
     let graph = &analysis.analyzed.graph;
     if flags.contains(&"--dot") {
@@ -412,13 +435,14 @@ fn cmd_check(rest: &[String]) -> Result<Outcome, CliError> {
     let (paths, opts, flags) = split_args(
         rest,
         &["--param-sensitive", "--strict", "--lenient"],
-        &["--spec", "--format", "--log-level"],
+        &["--spec", "--format", "--threads", "--log-level"],
     )?;
     let policy = policy_from_flags(&flags)?;
+    let threads = thread_count(&opts, "--threads", 0)?;
     let tele = Telemetry::disabled().with_log_level(level_from_opts(&opts)?);
     let spec = load_spec(opts.get("--spec").copied())?;
     let files = require_files(collect_source_files(&paths)?)?;
-    let analysis = analyze_files(&files, policy, &tele)?;
+    let analysis = analyze_files(&files, policy, &tele, threads)?;
     print_degradation(&analysis);
     let graph = &analysis.analyzed.graph;
     let analyzer = TaintAnalyzer::with_options(
@@ -473,6 +497,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
             "--out",
             "--cutoff",
             "--cache-dir",
+            "--threads",
             "--solver-threads",
             "--telemetry",
             "--trace",
@@ -480,6 +505,8 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         ],
     )?;
     let policy = policy_from_flags(&flags)?;
+    let threads = thread_count(&opts, "--threads", 0)?;
+    let solver_threads = thread_count(&opts, "--solver-threads", 1)?;
     let cache_dir = opts.get("--cache-dir").copied();
     if cache_dir.is_some() && flags.contains(&"--no-cache") {
         return Err(CliError::usage("--cache-dir and --no-cache are mutually exclusive"));
@@ -532,21 +559,6 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         .get("--cutoff")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if names.len() < 50 { 2 } else { 5 });
-    // `--solver-threads 0` means "all cores"; the learned spec is
-    // byte-identical for any thread count, so this is purely a cost knob.
-    let solver_threads = match opts.get("--solver-threads") {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| {
-                CliError::usage(format!("--solver-threads expects a number, got `{v}`"))
-            })?;
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                t
-            }
-        }
-        None => 1,
-    };
     // Early-stop is on by default (SolveOptions::default()); the flags
     // force it either way, e.g. `--no-early-stop` to burn the full
     // `max_iters` budget for an exactly reproducible epoch count.
@@ -564,7 +576,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         score_dump,
         ..Default::default()
     };
-    let mut analyze_opts = cli_analyze_opts(policy, &tele);
+    let mut analyze_opts = cli_analyze_opts(policy, &tele, threads);
     analyze_opts.cache = cache.clone();
     let full = run_full(&corpus, &seed, "learn", &analyze_opts, &options)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -732,19 +744,7 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
         })?),
         None => None,
     };
-    let solver_threads = match opts.get("--solver-threads") {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| {
-                CliError::usage(format!("--solver-threads expects a number, got `{v}`"))
-            })?;
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                t
-            }
-        }
-        None => 1,
-    };
+    let solver_threads = thread_count(&opts, "--solver-threads", 1)?;
     let options = SeldonOptions {
         gen: GenOptions { rep_cutoff: explicit_cutoff.unwrap_or(5), ..Default::default() },
         solve: SolveOptions { threads: solver_threads, ..Default::default() },
@@ -755,7 +755,8 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
         },
         ..Default::default()
     };
-    let mut analyze_opts = cli_analyze_opts(policy, &tele);
+    // Deltas touch one file at a time, so serve analyses sequentially.
+    let mut analyze_opts = cli_analyze_opts(policy, &tele, 1);
     analyze_opts.cache = cache;
     let cfg = EngineConfig {
         seed,
@@ -907,12 +908,20 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
     println!();
     println!("stage breakdown (top-level spans)");
     println!("  {:<16} {:>12} {:>12}", "stage", "time", "mem peak");
+    // Parse and graph construction add up per-file times, so across
+    // several analysis workers they are CPU time, not wall time.
+    let workers = m
+        .stage(stage::PARSE)
+        .and_then(|s| s.counters.iter().find(|(k, _)| k == "threads"))
+        .map_or(1.0, |&(_, v)| v);
     for s in m.stages.iter().filter(|s| s.depth == 0) {
+        let summed = workers > 1.0 && (s.name == stage::PARSE || s.name == stage::PROPGRAPH);
         println!(
-            "  {:<16} {:>12} {:>12}",
+            "  {:<16} {:>12} {:>12}{}",
             s.name,
             fmt_us(s.dur_us),
-            fmt_bytes(s.mem_peak_bytes)
+            fmt_bytes(s.mem_peak_bytes),
+            if summed { format!("  summed over {workers} workers") } else { String::new() }
         );
     }
     println!();

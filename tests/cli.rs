@@ -128,6 +128,112 @@ fn learn_solver_threads_is_output_invariant() {
     assert_eq!(out.status.code(), Some(2), "bad thread count is a usage error");
 }
 
+/// Writes a seeded generated corpus in `lang` under `dir/corpus` plus its
+/// seed spec; returns `(tree, seed spec path)`.
+fn write_generated(dir: &std::path::Path, lang: seldon_corpus::Lang) -> (PathBuf, PathBuf) {
+    use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
+    let universe = Universe::new();
+    let corpus = generate_corpus(
+        &universe,
+        &CorpusOptions { projects: 30, rng_seed: 11, lang, ..Default::default() },
+    );
+    let tree = dir.join("corpus");
+    for project in &corpus.projects {
+        for file in &project.files {
+            let path = tree.join(&project.name).join(&file.path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &file.content).unwrap();
+        }
+    }
+    let spec = dir.join("seed_spec.txt");
+    std::fs::write(&spec, universe.seed_spec().to_text()).unwrap();
+    (tree, spec)
+}
+
+#[test]
+fn learn_and_check_are_analysis_thread_invariant() {
+    // Symbol numbering follows which worker interns a string first, so
+    // this is the gate that no output depends on it: the learned spec and
+    // the JSON check report are byte-identical at 1, 2 and 4 analysis
+    // threads, for both frontends.
+    for lang in [seldon_corpus::Lang::Py, seldon_corpus::Lang::Js] {
+        let dir = temp_dir(&format!("analysis-threads-{}", lang.extension()));
+        let (tree, seed) = write_generated(&dir, lang);
+        let learn_at = |threads: &str| {
+            let out_path = dir.join(format!("learned-{threads}.txt"));
+            let out = seldon()
+                .arg("learn")
+                .arg(&tree)
+                .arg("--seed")
+                .arg(&seed)
+                .arg("--threads")
+                .arg(threads)
+                .arg("--out")
+                .arg(&out_path)
+                .output()
+                .expect("runs");
+            assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+            std::fs::read(&out_path).expect("spec written")
+        };
+        let check_at = |threads: &str| {
+            let out = seldon()
+                .arg("check")
+                .arg(&tree)
+                .arg("--spec")
+                .arg(&seed)
+                .arg("--format")
+                .arg("json")
+                .arg("--threads")
+                .arg(threads)
+                .output()
+                .expect("runs");
+            assert_eq!(out.status.code(), Some(1), "the corpus has flows to report");
+            out.stdout
+        };
+        let spec = learn_at("1");
+        assert!(!spec.is_empty(), "{lang:?}: the fixture learns entries");
+        let report = check_at("1");
+        assert!(report.len() > 100, "{lang:?}: the fixture has findings");
+        for threads in ["2", "4"] {
+            assert!(spec == learn_at(threads), "{lang:?}: spec differs at --threads {threads}");
+            assert!(report == check_at(threads), "{lang:?}: report differs at --threads {threads}");
+        }
+    }
+    let out = seldon().arg("check").arg(".").arg("--threads").arg("all").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "bad thread count is a usage error");
+}
+
+#[test]
+fn report_labels_worker_summed_stages() {
+    // With several analysis workers, parse and propgraph add up per-file
+    // times across workers; the report must not print that as wall time.
+    let dir = temp_dir("summed");
+    let (tree, seed) = write_generated(&dir, seldon_corpus::Lang::Py);
+    let report_at = |threads: &str| {
+        let manifest = dir.join(format!("run-{threads}.json"));
+        let out = seldon()
+            .arg("learn")
+            .arg(&tree)
+            .arg("--seed")
+            .arg(&seed)
+            .arg("--threads")
+            .arg(threads)
+            .arg("--telemetry")
+            .arg(&manifest)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let out = seldon().arg("report").arg(&manifest).output().expect("runs");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let two = report_at("2");
+    let summed: Vec<&str> = two.lines().filter(|l| l.ends_with("summed over 2 workers")).collect();
+    assert_eq!(summed.len(), 2, "parse and propgraph rows: {two}");
+    assert!(summed[0].trim_start().starts_with("parse"), "{two}");
+    assert!(summed[1].trim_start().starts_with("propgraph"), "{two}");
+    assert!(!report_at("1").contains("summed over"), "one worker: times are wall times");
+}
+
 #[test]
 fn check_with_custom_spec_and_param_sensitivity() {
     let dir = temp_dir("custom");
