@@ -18,6 +18,7 @@
 //! wall-clock ratios are too noisy to assert. Emits one JSON object on
 //! stdout; `BENCH_cache.json` records a release-build run.
 
+use seldon_bench::median_ms;
 use seldon_cache::{inject_cache_faults, ArtifactCache};
 use seldon_core::{run_full, AnalyzeOptions, CheckpointOutcome, FaultPolicy, SeldonOptions};
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Universe};
@@ -29,11 +30,6 @@ use std::time::Instant;
 
 const ROUNDS: usize = 5;
 const FAULT_RATE: f64 = 0.2;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 fn bench_corpus() -> (Corpus, TaintSpec) {
     let universe = Universe::new();

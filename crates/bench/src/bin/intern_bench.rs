@@ -7,6 +7,7 @@
 //! The corpus is fixed (≥500 files, seeded RNG) so numbers are comparable
 //! across builds of the same machine.
 
+use seldon_bench::median_ms;
 use seldon_constraints::{generate, GenOptions};
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
@@ -15,11 +16,6 @@ use seldon_telemetry::BenchRecord;
 use std::time::Instant;
 
 const ROUNDS: usize = 5;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// Regenerates the golden learned spec for the `tests/end_to_end.rs`
 /// fixture (`--golden <path>`), mirroring that file's corpus options.

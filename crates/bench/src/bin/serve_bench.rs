@@ -19,6 +19,7 @@
 //! which is what CI runs. Emits one JSON object on stdout;
 //! `BENCH_serve.json` records a release-build run.
 
+use seldon_bench::median_ms;
 use seldon_cache::ArtifactCache;
 use seldon_core::{run_full, AnalyzeOptions, FaultPolicy, SeldonOptions, WarmStartOptions};
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
@@ -31,11 +32,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const ROUNDS: usize = 5;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// The 607-file bench corpus, flattened to sorted `(path, content)`
 /// pairs (project-qualified paths, the order `seldon learn` analyzes).

@@ -16,6 +16,7 @@
 //! plateau detector enabled, which must reproduce the same golden spec.
 //! Exits non-zero on any mismatch.
 
+use seldon_bench::median_ms;
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
 use seldon_solver::{
@@ -27,11 +28,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const ROUNDS: usize = 3;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// The pre-PR solver, kept verbatim as the bench baseline: a per-epoch
 /// walk over `Vec<FlowConstraint>` with separate lhs/rhs term sums, a

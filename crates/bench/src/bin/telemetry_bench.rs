@@ -11,6 +11,7 @@
 //! Emits one JSON object on stdout (medians of 5 rounds, milliseconds);
 //! `BENCH_telemetry.json` records a release-build run.
 
+use seldon_bench::median_ms;
 use seldon_constraints::{generate, generate_with_stats, GenOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
 use seldon_propgraph::{build_source, FileId, PropagationGraph};
@@ -19,11 +20,6 @@ use seldon_telemetry::{stage, BenchRecord, Telemetry};
 use std::time::Instant;
 
 const ROUNDS: usize = 5;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 fn bare_gen_union(graphs: &[PropagationGraph], seed: &TaintSpec) -> usize {
     let mut global = PropagationGraph::new();

@@ -15,3 +15,10 @@ pub use experiments::{
     table5, table6, table7, ExperimentConfig, Workbench,
 };
 pub use table::{dur, pct, Table};
+
+/// The median of `samples` (the upper one for an even count): the summary
+/// every bench bin records per measured leg.
+pub fn median_ms(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}

@@ -32,9 +32,9 @@
 
 use crate::entry::EntryError;
 use crate::hash::Fnv64;
-use seldon_constraints::{ConstraintSystem, GenOptions, Template};
+use seldon_constraints::{ConstraintSystem, GenOptions, GenStats, Template};
 use seldon_propgraph::{EventId, PropagationGraph};
-use seldon_solver::{ExtractOptions, SolveOptions};
+use seldon_solver::{ExtractOptions, Extraction, Solution, SolveOptions, StopReason};
 use seldon_specs::{Role, RoleSet, TaintSpec};
 use seldon_telemetry::json::{self, Json};
 use seldon_telemetry::EpochSample;
@@ -59,6 +59,22 @@ pub struct SystemSummary {
     pub dropped_by_cutoff: u64,
     /// Representations dropped by the blacklist.
     pub dropped_by_blacklist: u64,
+}
+
+impl SystemSummary {
+    /// The shape of `system`, generated with `stats`.
+    pub fn of(system: &ConstraintSystem, stats: &GenStats) -> SystemSummary {
+        SystemSummary {
+            constraints: system.constraint_count() as u64,
+            vars: system.var_count() as u64,
+            pinned: system.pinned_count() as u64,
+            by_template: system.template_counts().map(|n| n as u64),
+            candidates: stats.candidate_events as u64,
+            surviving_reps: stats.surviving_reps as u64,
+            dropped_by_cutoff: stats.dropped_by_cutoff as u64,
+            dropped_by_blacklist: stats.dropped_by_blacklist as u64,
+        }
+    }
 }
 
 /// A persisted solver/extraction outcome with its fingerprints.
@@ -243,6 +259,66 @@ fn parse_hex_f64(v: &Json, what: &str) -> Result<f64, EntryError> {
 }
 
 impl Checkpoint {
+    /// Packs one finished run — `system` generated with `stats`, solved
+    /// into `solution`, extracted into `extraction` — into the checkpoint
+    /// the next run (batch or served) reuses.
+    pub fn pack(
+        input_fp: u64,
+        system_fp: u64,
+        system: &ConstraintSystem,
+        stats: &GenStats,
+        solution: &Solution,
+        extraction: &Extraction,
+    ) -> Checkpoint {
+        let mut event_roles: Vec<(u32, u8)> = extraction
+            .event_roles
+            .iter()
+            .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
+            .collect();
+        event_roles.sort_unstable();
+        Checkpoint {
+            input_fp,
+            system_fp,
+            scores: solution.scores.clone(),
+            var_keys: system
+                .variables()
+                .map(|(_, rep, role)| (rep.to_string(), role.index() as u8))
+                .collect(),
+            objective: solution.objective,
+            violation: solution.violation,
+            iterations: solution.iterations,
+            restarts: solution.restarts,
+            final_lr: solution.final_lr,
+            diverged: solution.diverged,
+            stop_reason: solution.stop.as_str().to_string(),
+            epochs_saved: solution.epochs_saved,
+            curve: solution.trace.clone(),
+            spec_text: extraction.spec.to_text(),
+            event_roles,
+            backoff_hits: extraction.backoff_hits.clone(),
+            summary: SystemSummary::of(system, stats),
+        }
+    }
+
+    /// The stored solve as a [`Solution`] over the system it was packed
+    /// from (no per-epoch history; an unknown stop reason reads as the
+    /// default).
+    pub fn solution(&self) -> Solution {
+        Solution {
+            scores: self.scores.clone(),
+            objective: self.objective,
+            violation: self.violation,
+            iterations: self.iterations,
+            history: Vec::new(),
+            diverged: self.diverged,
+            restarts: self.restarts,
+            final_lr: self.final_lr,
+            stop: StopReason::parse(&self.stop_reason).unwrap_or_default(),
+            epochs_saved: self.epochs_saved,
+            trace: self.curve.clone(),
+        }
+    }
+
     /// Packs a [`RoleSet`] into the stored bitmask.
     pub fn role_bits(roles: RoleSet) -> u8 {
         roles.iter().fold(0, |acc, role| acc | 1 << role.index())
@@ -254,15 +330,6 @@ impl Checkpoint {
             .iter()
             .filter(|role| bits & (1 << role.index()) != 0)
             .fold(RoleSet::EMPTY, |set, &role| set.with(role))
-    }
-
-    /// Records the `(representation, role)` identity of every variable
-    /// in `system`, in `VarId` order, for a checkpoint solved from it.
-    pub fn var_keys_of(system: &ConstraintSystem) -> Vec<(String, u8)> {
-        system
-            .variables()
-            .map(|(_, rep, role)| (rep.to_string(), role.index() as u8))
-            .collect()
     }
 
     /// Remaps the stored scores onto a (possibly different) constraint

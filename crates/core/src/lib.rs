@@ -38,11 +38,15 @@ pub use eval::{
     classify_all, classify_violation, evaluate_spec, reps_match, GroundTruth, ReportClass,
     ReportSummary, RoleEval, SpecEval,
 };
-pub use manifest::{run_full, FullRun};
+pub use manifest::{
+    cache_summary, constraint_summary, extraction_summary, memory_summary, run_full,
+    set_intern_gauge, solver_summary, FullRun,
+};
 pub use pipeline::{
     analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_project,
-    run_seldon, run_seldon_cached, run_seldon_traced, AnalyzeOptions, AnalyzedCorpus,
-    CheckpointOutcome, CheckpointUse, FaultPolicy, FileAnalysis, FileMeta, Frontend,
-    SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE, DEFAULT_WARM_MARGIN,
+    default_rep_cutoff, learn_system, run_seldon, run_seldon_cached, AnalyzeOptions,
+    AnalyzedCorpus, CheckpointOutcome, CheckpointUse, FaultPolicy, FileAnalysis, FileMeta,
+    Frontend, Learned, SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE,
+    DEFAULT_WARM_MARGIN,
 };
 pub use report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};

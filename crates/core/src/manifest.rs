@@ -3,7 +3,7 @@
 //! and assembles the machine-readable [`RunManifest`] the `--telemetry`
 //! flag writes.
 //!
-//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_traced`] plus a
+//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_cached`] plus a
 //! final taint pass with the learned specification. With a recording
 //! [`Telemetry`] handle in [`AnalyzeOptions`], the manifest captures the
 //! corpus shape, per-file fault outcomes, every stage span with its
@@ -11,6 +11,10 @@
 //! solver's sampled convergence curve, the §7.1 extraction backoff sweep,
 //! and the taint verdict. With a disabled handle the pipeline runs
 //! telemetry-free and no manifest is produced.
+//!
+//! The section builders ([`solver_summary`], [`extraction_summary`],
+//! [`constraint_summary`], [`cache_summary`], [`memory_summary`],
+//! [`set_intern_gauge`]) are shared with the `seldon serve` manifest.
 
 use crate::error::PipelineError;
 use crate::pipeline::{
@@ -18,14 +22,16 @@ use crate::pipeline::{
     SeldonOptions, SeldonRun,
 };
 use crate::report::{AnalysisReport, CacheFaultReport};
+use seldon_cache::{ArtifactCache, SystemSummary};
+use seldon_constraints::constraint_gap;
 use seldon_corpus::Corpus;
+use seldon_solver::{ExtractOptions, Solution};
 use seldon_specs::{Role, TaintSpec};
 use seldon_taint::{TaintAnalyzer, Violation};
-use seldon_constraints::constraint_gap;
 use seldon_telemetry::{
     stage, CacheSummary, ConstraintSummary, CorpusShape, ExtractionSummary, MemoryGauge,
-    MemorySummary, OutcomeCounts, RunManifest, ScoreDumpEntry, SolverSummary, TaintSummary,
-    Telemetry,
+    MemorySummary, MetricsRegistry, OutcomeCounts, RunManifest, ScoreDumpEntry, SolverSummary,
+    TaintSummary, Telemetry,
 };
 
 /// Everything one full pipeline run produces.
@@ -132,83 +138,114 @@ fn assemble_manifest(
     };
     m.stages = tele.take_spans().into_iter().map(Into::into).collect();
     m.parse_histograms = analyzed.parse_histograms.clone();
-    m.constraints = match &checkpoint.summary {
-        // Full checkpoint reuse: the in-memory system is empty, so the
-        // shape comes from the checkpoint's replay summary.
-        Some(s) => ConstraintSummary {
-            total: s.constraints,
-            vars: s.vars,
-            pinned: s.pinned,
-            by_template: s.by_template,
-        },
-        None => {
-            let by_template = run.system.template_counts();
-            ConstraintSummary {
-                total: run.system.constraint_count() as u64,
-                vars: run.system.var_count() as u64,
-                pinned: run.system.pinned_count() as u64,
-                by_template: [
-                    by_template[0] as u64,
-                    by_template[1] as u64,
-                    by_template[2] as u64,
-                ],
-            }
-        }
-    };
-    m.cache = match analyze.cache.as_deref() {
-        None => CacheSummary::default(),
-        Some(cache) => {
-            let s = cache.stats();
-            CacheSummary {
-                enabled: true,
-                hits: s.hits,
-                misses: s.misses,
-                stores: s.stores,
-                corrupt: s.corrupt,
-                stale: s.stale,
-                evicted: s.evicted,
-                checkpoint: checkpoint.outcome.label().to_string(),
-            }
-        }
-    };
-    m.solver = SolverSummary {
-        iterations: run.solution.iterations as u64,
-        restarts: run.solution.restarts as u64,
-        diverged: run.solution.diverged,
-        final_lr: run.solution.final_lr,
-        objective: run.solution.objective,
-        violation: run.solution.violation,
-        threads: seldon.solve.threads.max(1) as u64,
-        stop_reason: run.solution.stop.as_str().to_string(),
-        epochs_saved: run.solution.epochs_saved as u64,
-        curve: run.solution.trace.clone(),
-    };
+    // Full checkpoint reuse leaves the in-memory system empty, so the
+    // shape comes from the checkpoint's replay summary.
+    let shape =
+        checkpoint.summary.unwrap_or_else(|| SystemSummary::of(&run.system, &run.gen_stats));
+    m.constraints = constraint_summary(&shape);
+    m.cache = cache_summary(analyze.cache.as_deref(), checkpoint.outcome.label());
+    m.solver = solver_summary(&run.solution, seldon.solve.threads);
+    m.extraction =
+        extraction_summary(&run.extraction.spec, &run.extraction.backoff_hits, &seldon.extract);
+    m.taint = TaintSummary { violations: violations.len() as u64 };
+    m.memory = memory_summary();
+    fill_metrics(&mut m, analyzed, run, analyze, report);
+    if seldon.score_dump {
+        m.score_dump = score_dump(run);
+    }
+    m
+}
+
+/// The manifest's `constraints` section for a system of shape `s`.
+pub fn constraint_summary(s: &SystemSummary) -> ConstraintSummary {
+    ConstraintSummary {
+        total: s.constraints,
+        vars: s.vars,
+        pinned: s.pinned,
+        by_template: s.by_template,
+    }
+}
+
+/// The manifest's `solver` section for `solution`, solved on `threads`
+/// threads.
+pub fn solver_summary(solution: &Solution, threads: usize) -> SolverSummary {
+    SolverSummary {
+        iterations: solution.iterations as u64,
+        restarts: solution.restarts as u64,
+        diverged: solution.diverged,
+        final_lr: solution.final_lr,
+        objective: solution.objective,
+        violation: solution.violation,
+        threads: threads.max(1) as u64,
+        stop_reason: solution.stop.as_str().to_string(),
+        epochs_saved: solution.epochs_saved as u64,
+        curve: solution.trace.clone(),
+    }
+}
+
+/// The manifest's `extraction` section: the §7.1 options, the backoff
+/// sweep, and the learned entries per role of `spec`.
+pub fn extraction_summary(
+    spec: &TaintSpec,
+    backoff_hits: &[usize],
+    opts: &ExtractOptions,
+) -> ExtractionSummary {
     let mut learned = [0u64; 3];
-    for (_, roles) in run.extraction.spec.iter() {
+    for (_, roles) in spec.iter() {
         for role in Role::ALL {
             if roles.contains(role) {
                 learned[role.index()] += 1;
             }
         }
     }
-    m.extraction = ExtractionSummary {
-        thresholds: seldon.extract.thresholds,
-        decay: seldon.extract.decay,
-        backoff_hits: run.extraction.backoff_hits.iter().map(|&n| n as u64).collect(),
+    ExtractionSummary {
+        thresholds: opts.thresholds,
+        decay: opts.decay,
+        backoff_hits: backoff_hits.iter().map(|&n| n as u64).collect(),
         learned,
+    }
+}
+
+/// The manifest's `cache` section; `checkpoint` names how the solver
+/// checkpoint was used. Disabled when no cache is attached.
+pub fn cache_summary(cache: Option<&ArtifactCache>, checkpoint: &str) -> CacheSummary {
+    let Some(cache) = cache else {
+        return CacheSummary::default();
     };
-    m.taint = TaintSummary { violations: violations.len() as u64 };
-    m.memory = MemorySummary {
+    let s = cache.stats();
+    CacheSummary {
+        enabled: true,
+        hits: s.hits,
+        misses: s.misses,
+        stores: s.stores,
+        corrupt: s.corrupt,
+        stale: s.stale,
+        evicted: s.evicted,
+        checkpoint: checkpoint.to_string(),
+    }
+}
+
+/// The manifest's `memory` section, read now.
+pub fn memory_summary() -> MemorySummary {
+    MemorySummary {
         tracked: true,
         current_bytes: MemoryGauge::current_bytes(),
         peak_bytes: MemoryGauge::peak_bytes(),
         peak_rss_bytes: MemoryGauge::peak_rss_bytes().unwrap_or(0),
-    };
-    fill_metrics(&mut m, analyzed, run, analyze, report);
-    if seldon.score_dump {
-        m.score_dump = score_dump(run);
     }
-    m
+}
+
+/// Sets the `intern_symbols` gauge. Non-volatile: interning is
+/// deterministic per corpus, so two runs over the same inputs must agree.
+/// In a long-lived daemon this is the leak detector — repeated identical
+/// deltas must not grow it.
+pub fn set_intern_gauge(reg: &mut MetricsRegistry) {
+    reg.set_gauge(
+        "intern_symbols",
+        "Global interner size (symbols live for the process lifetime).",
+        false,
+        seldon_intern::len() as f64,
+    );
 }
 
 /// Representation-frequency buckets: how many backoff options a
@@ -239,15 +276,7 @@ fn fill_metrics(
         false,
         (report.ok() + report.recovered()) as f64,
     );
-    // Non-volatile: interning is deterministic per corpus, so two runs
-    // over the same inputs must agree. In a long-lived daemon this is the
-    // leak detector — repeated identical deltas must not grow it.
-    reg.set_gauge(
-        "intern_symbols",
-        "Global interner size (symbols live for the process lifetime).",
-        false,
-        seldon_intern::len() as f64,
-    );
+    set_intern_gauge(reg);
     // Representation frequency distribution over the union graph: every
     // rep counted once per backoff option it appears in. Present even
     // when empty so `validate_manifest --require-full` can demand it.

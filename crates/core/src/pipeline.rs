@@ -25,18 +25,14 @@ use seldon_cache::{
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::Corpus;
-use seldon_jsfront::{
-    build_js_source, build_js_source_budgeted, build_js_source_lenient,
-    build_js_source_lenient_budgeted, build_js_source_lenient_timed, build_js_source_timed,
-};
+use seldon_jsfront::{build_js_source, build_js_source_lenient_timed, build_js_source_timed};
 use seldon_propgraph::{
-    build_source, build_source_budgeted, build_source_lenient, build_source_lenient_budgeted,
-    build_source_lenient_timed, build_source_timed, Budget, BuildError, BuildTimings, FileId,
-    PropagationGraph,
+    build_source, build_source_lenient_timed, build_source_timed, Budget, BuildError,
+    BuildTimings, FileId, PropagationGraph,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
-    ExtractOptions, Extraction, SolveOptions, Solution, StopReason,
+    ExtractOptions, Extraction, SolveOptions, Solution,
 };
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, ParseHistogram, Telemetry, PARSE_HIST_BOUNDS};
@@ -119,9 +115,9 @@ pub struct AnalyzedCorpus {
     /// Wall-clock time spent parsing and building graphs.
     pub build_time: Duration,
     /// Per-frontend parse-time buckets. Only populated when the analysis
-    /// ran with active telemetry (the untimed builders read no clocks) and
-    /// only for frontends that parsed at least one file; cache-served
-    /// files skip the front end and are never tallied.
+    /// ran with active telemetry and only for frontends that parsed at
+    /// least one file; cache-served files skip the front end and are never
+    /// tallied.
     pub parse_histograms: Vec<ParseHistogram>,
     /// Per-file graph-construction time distribution (microseconds, same
     /// buckets as the parse histograms). Empty unless telemetry was active
@@ -165,9 +161,10 @@ pub struct AnalyzeOptions {
     /// per-file guard. Only the fault-injection harness sets this; it
     /// exercises panic containment without a real analysis bug.
     pub fault_markers: bool,
-    /// Telemetry handle for stage spans and stderr logging. The default
-    /// (disabled) handle keeps the per-file path on the untimed builders —
-    /// no clock reads, no allocations.
+    /// Telemetry handle for stage spans and stderr logging. The per-file
+    /// builders always time their parse and build phases (four clock reads
+    /// per file); the default (disabled) handle records no spans and
+    /// tallies no histograms.
     pub telemetry: Telemetry,
     /// On-disk artifact cache. When attached, per-file analysis is served
     /// from validated cache entries where possible and recomputed (then
@@ -215,9 +212,9 @@ fn option_salt(opts: &AnalyzeOptions) -> u64 {
 /// a panic inside extraction is contained and reported as
 /// [`FileOutcome::Panicked`].
 ///
-/// With active telemetry the timed builders report the parse/build phase
-/// split of the successful attempt; a disabled handle stays on the untimed
-/// builders (no clock reads) and the timings come back zero.
+/// The builders always report the parse/build phase split of the
+/// successful attempt (four clock reads per file); the caller only tallies
+/// it when telemetry is active.
 fn analyze_one(
     path: &str,
     content: &str,
@@ -229,73 +226,34 @@ fn analyze_one(
         if opts.fault_markers && content.contains(seldon_corpus::PANIC_MARKER) {
             panic!("injected panic ({})", seldon_corpus::PANIC_MARKER);
         }
-        let timed = opts.telemetry.is_active();
-        let mut timings = BuildTimings::default();
-        let strict = if timed {
-            match frontend {
-                Frontend::Python => build_source_timed(content, id, opts.budget.as_ref()),
-                Frontend::Js => build_js_source_timed(content, id, opts.budget.as_ref()),
-            }
-            .map(|(g, t)| {
-                timings = t;
-                g
-            })
-        } else {
-            match (&opts.budget, frontend) {
-                (Some(budget), Frontend::Python) => build_source_budgeted(content, id, budget),
-                (Some(budget), Frontend::Js) => build_js_source_budgeted(content, id, budget),
-                (None, Frontend::Python) => {
-                    build_source(content, id).map_err(BuildError::Frontend)
-                }
-                (None, Frontend::Js) => {
-                    build_js_source(content, id).map_err(BuildError::Frontend)
-                }
-            }
+        let strict = match frontend {
+            Frontend::Python => build_source_timed(content, id, opts.budget.as_ref()),
+            Frontend::Js => build_js_source_timed(content, id, opts.budget.as_ref()),
+        };
+        let over_budget = |limit| {
+            let error = PipelineError::OverBudget { path: path.to_string(), limit };
+            (None, FileOutcome::OverBudget { error }, BuildTimings::default())
         };
         match strict {
-            Ok(g) => (Some(g), FileOutcome::Ok, timings),
-            Err(BuildError::OverBudget(limit)) => {
-                let error = PipelineError::OverBudget { path: path.to_string(), limit };
-                (None, FileOutcome::OverBudget { error }, timings)
-            }
+            Ok((g, timings)) => (Some(g), FileOutcome::Ok, timings),
+            Err(BuildError::OverBudget(limit)) => over_budget(limit),
             Err(BuildError::Frontend(_)) if opts.policy == FaultPolicy::Recover => {
                 // Lenient retry; only a budget trip can still fail.
-                let lenient = if timed {
-                    match frontend {
-                        Frontend::Python => {
-                            build_source_lenient_timed(content, id, opts.budget.as_ref())
-                        }
-                        Frontend::Js => {
-                            build_js_source_lenient_timed(content, id, opts.budget.as_ref())
-                        }
+                let lenient = match frontend {
+                    Frontend::Python => {
+                        build_source_lenient_timed(content, id, opts.budget.as_ref())
                     }
-                    .map(|(g, errors, t)| {
-                        timings = t;
-                        (g, errors)
-                    })
-                } else {
-                    match (&opts.budget, frontend) {
-                        (Some(budget), Frontend::Python) => {
-                            build_source_lenient_budgeted(content, id, budget)
-                        }
-                        (Some(budget), Frontend::Js) => {
-                            build_js_source_lenient_budgeted(content, id, budget)
-                        }
-                        (None, Frontend::Python) => Ok(build_source_lenient(content, id)),
-                        (None, Frontend::Js) => Ok(build_js_source_lenient(content, id)),
+                    Frontend::Js => {
+                        build_js_source_lenient_timed(content, id, opts.budget.as_ref())
                     }
                 };
                 match lenient {
-                    Ok((g, errors)) => (
+                    Ok((g, errors, timings)) => (
                         Some(g),
                         FileOutcome::Recovered { errors: errors.len().max(1) },
                         timings,
                     ),
-                    Err(limit) => {
-                        let error =
-                            PipelineError::OverBudget { path: path.to_string(), limit };
-                        (None, FileOutcome::OverBudget { error }, timings)
-                    }
+                    Err(limit) => over_budget(limit),
                 }
             }
             Err(BuildError::Frontend(e)) => {
@@ -303,7 +261,7 @@ fn analyze_one(
                     path: path.to_string(),
                     message: e.to_string(),
                 };
-                (None, FileOutcome::Skipped { error }, timings)
+                (None, FileOutcome::Skipped { error }, BuildTimings::default())
             }
         }
     }));
@@ -520,9 +478,8 @@ pub fn analyze_corpus_with(
     // spans; cache-served files skip the front end and contribute nothing.
     let mut project_parse: Vec<(Duration, usize)> =
         vec![(Duration::ZERO, 0); corpus.projects.len()];
-    // Per-frontend parse-time buckets: only meaningful when the timed
-    // builders ran (an inactive handle reads no clocks, so every duration
-    // would land in the first bucket as noise).
+    // Per-frontend parse-time buckets, tallied only under active
+    // telemetry so manifests and their redaction stay as they were.
     let mut parse_hist: Vec<ParseHistogram> =
         Frontend::ALL.iter().map(|f| ParseHistogram::new(f.label())).collect();
     let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
@@ -641,7 +598,7 @@ struct Shard {
     graph: PropagationGraph,
     slots: Vec<FileSlot>,
     /// Time spent folding per-file graphs into `graph` (zero when
-    /// telemetry is off: the untimed path reads no clocks).
+    /// telemetry is off).
     fold_time: Duration,
 }
 
@@ -735,6 +692,16 @@ pub struct SeldonOptions {
     pub warm_start: Option<WarmStartOptions>,
 }
 
+/// The §4.3 representation cutoff `seldon learn` and `seldon serve` use
+/// when none is given: 2 for corpora below 50 files, 5 otherwise.
+pub fn default_rep_cutoff(files: usize) -> usize {
+    if files < 50 {
+        2
+    } else {
+        5
+    }
+}
+
 /// Margin used by [`WarmStartOptions::default`]: a warm solution is only
 /// accepted when every extraction decision clears the threshold by at
 /// least this much, comfortably above the score wobble between a warm and
@@ -797,136 +764,177 @@ pub const DEFAULT_TRACE_STRIDE: usize = 10;
 
 /// Runs constraint generation, solving, and extraction over a graph.
 pub fn run_seldon(graph: &PropagationGraph, seed: &TaintSpec, opts: &SeldonOptions) -> SeldonRun {
-    run_seldon_traced(graph, seed, opts, &Telemetry::disabled())
+    run_seldon_cached(graph, seed, opts, &Telemetry::disabled(), None).0
 }
 
-/// Like [`run_seldon`], emitting the `representation`, `constraints`,
-/// `solve` (with a nested `compile` child span for the CSR lowering),
-/// and `extract` stage spans on `tele`. When `tele` records and the
-/// caller left the solver trace stride at 0, the stride defaults to
-/// [`DEFAULT_TRACE_STRIDE`] so the manifest always carries a convergence
-/// curve.
-pub fn run_seldon_traced(
-    graph: &PropagationGraph,
-    seed: &TaintSpec,
-    opts: &SeldonOptions,
+/// Emits the `representation` and `constraints` stage spans for a system
+/// of shape `s`. `times` holds the selection and collection durations;
+/// `None` marks both spans as replayed from a checkpoint. `extra`
+/// counters go on the `constraints` span.
+fn gen_spans(
     tele: &Telemetry,
-) -> SeldonRun {
-    let (system, gen_stats, gen_time) = gen_stage(graph, seed, opts, tele);
-    let (solution, solve_time) = solve_stage(&system, opts, tele);
-    let extraction = extract_stage(&system, &solution, opts, tele);
-    SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats }
-}
-
-/// Constraint generation with its `representation` + `constraints` spans.
-fn gen_stage(
-    graph: &PropagationGraph,
-    seed: &TaintSpec,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> (ConstraintSystem, GenStats, Duration) {
-    let t0 = Instant::now();
-    let (system, gen_stats) = generate_with_stats(graph, seed, &opts.gen);
-    let gen_time = t0.elapsed();
+    s: &SystemSummary,
+    times: Option<(Duration, Duration)>,
+    extra: &[(&'static str, f64)],
+) {
+    let (select_time, collect_time) = times.unwrap_or_default();
+    let replayed: &[(&'static str, f64)] =
+        if times.is_none() { &[("replayed", 1.0)] } else { &[] };
+    let representation = [
+        ("candidate_events", s.candidates as f64),
+        ("surviving_reps", s.surviving_reps as f64),
+        ("dropped_by_cutoff", s.dropped_by_cutoff as f64),
+        ("dropped_by_blacklist", s.dropped_by_blacklist as f64),
+    ];
     tele.aggregate_span(
         stage::REPRESENTATION,
-        gen_stats.select_time,
-        &[
-            ("candidate_events", gen_stats.candidate_events as f64),
-            ("surviving_reps", gen_stats.surviving_reps as f64),
-            ("dropped_by_cutoff", gen_stats.dropped_by_cutoff as f64),
-            ("dropped_by_blacklist", gen_stats.dropped_by_blacklist as f64),
-        ],
+        select_time,
+        &[&representation[..], replayed].concat(),
     );
-    let by_template = system.template_counts();
+    let constraints = [
+        ("constraints", s.constraints as f64),
+        ("vars", s.vars as f64),
+        ("pinned", s.pinned as f64),
+        ("template_a", s.by_template[0] as f64),
+        ("template_b", s.by_template[1] as f64),
+        ("template_c", s.by_template[2] as f64),
+    ];
     tele.aggregate_span(
         stage::CONSTRAINTS,
-        gen_stats.collect_time,
-        &[
-            ("constraints", system.constraint_count() as f64),
-            ("vars", system.var_count() as f64),
-            ("pinned", system.pinned_count() as f64),
-            ("template_a", by_template[0] as f64),
-            ("template_b", by_template[1] as f64),
-            ("template_c", by_template[2] as f64),
-        ],
+        collect_time,
+        &[&constraints[..], replayed, extra].concat(),
     );
-    (system, gen_stats, gen_time)
 }
 
-/// CSR compilation + projected Adam with the `solve` span (and its nested
-/// `compile` child).
+/// The `solve` span counters every rung of the solve ladder reports.
+fn solve_counters(solution: &Solution, threads: usize) -> [(&'static str, f64); 7] {
+    [
+        ("threads", threads.max(1) as f64),
+        ("iterations", solution.iterations as f64),
+        ("restarts", solution.restarts as f64),
+        ("objective", solution.objective),
+        ("violation", solution.violation),
+        ("stop_reason", solution.stop.code() as f64),
+        ("epochs_saved", solution.epochs_saved as f64),
+    ]
+}
+
+/// What [`learn_system`] produced from one constraint system.
+#[derive(Debug)]
+pub struct Learned {
+    /// The solved scores.
+    pub solution: Solution,
+    /// The extracted specification and per-event roles.
+    pub extraction: Extraction,
+    /// The solve-ladder rung that produced `solution`:
+    /// [`CheckpointOutcome::HitScores`], [`CheckpointOutcome::HitWarm`] or
+    /// [`CheckpointOutcome::MissCold`].
+    pub rung: CheckpointOutcome,
+    /// Extraction margin of the warm solution, when a warm start was
+    /// tried (accepted or not).
+    pub warm_margin: Option<f64>,
+    /// Wall-clock of the solve stage.
+    pub solve_time: Duration,
+    /// The run packed for reuse; `None` unless an input fingerprint was
+    /// given.
+    pub checkpoint: Option<Checkpoint>,
+}
+
+/// The learn path `seldon learn` and `seldon serve` share once a
+/// constraint system exists.
+///
+/// Emits the `representation` and `constraints` spans (`extra` counters
+/// go on the latter), climbs the solve ladder, extracts the
+/// specification, and — given the run's `input_fp` — packs the checkpoint
+/// the next run reuses. The ladder reuses `prior`'s score vector when the
+/// system fingerprint matches; otherwise, with
+/// [`SeldonOptions::warm_start`] set, it seeds Adam from `prior`'s
+/// remapped scores and accepts the warm solution only when its
+/// extraction margin clears the policy (so the spec stays byte-identical
+/// to a cold run); otherwise it solves cold. The system is compiled at
+/// most once.
+pub fn learn_system(
+    system: &ConstraintSystem,
+    gen_stats: &GenStats,
+    input_fp: Option<u64>,
+    prior: Option<&Checkpoint>,
+    opts: &SeldonOptions,
+    tele: &Telemetry,
+    extra: &[(&'static str, f64)],
+) -> Learned {
+    if tele.is_active() {
+        let times = (gen_stats.select_time, gen_stats.collect_time);
+        gen_spans(tele, &SystemSummary::of(system, gen_stats), Some(times), extra);
+    }
+    let system_fp = input_fp.map(|_| system_fingerprint(system, &opts.solve));
+    let t0 = Instant::now();
+    let (solution, rung, warm_margin) = solve_stage(system, system_fp, prior, opts, tele);
+    let solve_time = t0.elapsed();
+    let extraction = extract_stage(system, &solution, opts, tele);
+    let checkpoint = input_fp.zip(system_fp).map(|(input_fp, system_fp)| {
+        Checkpoint::pack(input_fp, system_fp, system, gen_stats, &solution, &extraction)
+    });
+    Learned { solution, extraction, rung, warm_margin, solve_time, checkpoint }
+}
+
+/// The solve ladder with its `solve` span: a score hit (counter
+/// `replayed`), else CSR compilation (the nested `compile` span) and a
+/// margin-guarded warm solve (counters `warm_accepted`, `warm_margin`),
+/// else a cold solve on the same compiled system. When `tele` records
+/// and the caller left the solver trace stride at 0, the stride defaults
+/// to [`DEFAULT_TRACE_STRIDE`] so the manifest always carries a
+/// convergence curve.
 fn solve_stage(
     system: &ConstraintSystem,
+    system_fp: Option<u64>,
+    prior: Option<&Checkpoint>,
     opts: &SeldonOptions,
     tele: &Telemetry,
-) -> (Solution, Duration) {
+) -> (Solution, CheckpointOutcome, Option<f64>) {
     let mut solve_opts = opts.solve.clone();
     if tele.is_recording() && solve_opts.trace_stride == 0 {
         solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
     }
-    let t1 = Instant::now();
     let solve_span = tele.span(stage::SOLVE);
-    let compile_span = tele.span(stage::COMPILE);
-    let compiled = CompiledSystem::compile(system);
-    compile_span.counter("constraints", compiled.constraint_count() as f64);
-    compile_span.counter("rows", compiled.row_count() as f64);
-    compile_span.counter("terms", compiled.term_count() as f64);
-    compile_span.counter("lanes", compiled.lane_count() as f64);
-    drop(compile_span);
-    let solution = solve_compiled(&compiled, &solve_opts);
-    solve_span.counter("threads", solve_opts.threads.max(1) as f64);
-    solve_span.counter("iterations", solution.iterations as f64);
-    solve_span.counter("restarts", solution.restarts as f64);
-    solve_span.counter("objective", solution.objective);
-    solve_span.counter("violation", solution.violation);
-    solve_span.counter("stop_reason", solution.stop.code() as f64);
-    solve_span.counter("epochs_saved", solution.epochs_saved as f64);
-    drop(solve_span);
-    (solution, t1.elapsed())
-}
-
-/// The guarded warm solve: seed Adam from `init`, then accept the warm
-/// solution only when its extraction margin clears `policy.min_margin`;
-/// otherwise re-solve cold on the same compiled system so the output is
-/// byte-identical to an uncached run. Returns whether the warm solution
-/// was accepted.
-fn warm_solve_stage(
-    system: &ConstraintSystem,
-    init: &[f64],
-    policy: &WarmStartOptions,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> (Solution, Duration, bool) {
-    let mut solve_opts = opts.solve.clone();
-    if tele.is_recording() && solve_opts.trace_stride == 0 {
-        solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
+    let (solution, rung, warm_margin) = match prior {
+        Some(ckpt) if system_fp == Some(ckpt.system_fp) => {
+            (ckpt.solution(), CheckpointOutcome::HitScores, None)
+        }
+        _ => {
+            let compile_span = tele.span(stage::COMPILE);
+            let compiled = CompiledSystem::compile(system);
+            compile_span.counter("constraints", compiled.constraint_count() as f64);
+            compile_span.counter("rows", compiled.row_count() as f64);
+            compile_span.counter("terms", compiled.term_count() as f64);
+            compile_span.counter("lanes", compiled.lane_count() as f64);
+            drop(compile_span);
+            let warm = opts.warm_start.as_ref().and_then(|policy| {
+                let init = prior?.warm_init_for(system)?;
+                let warm = solve_compiled_warm(&compiled, &solve_opts, &init);
+                let margin = extraction_margin(system, &warm, &opts.extract);
+                Some((warm, margin, margin >= policy.min_margin))
+            });
+            match warm {
+                Some((warm, margin, true)) => (warm, CheckpointOutcome::HitWarm, Some(margin)),
+                rejected => (
+                    solve_compiled(&compiled, &solve_opts),
+                    CheckpointOutcome::MissCold,
+                    rejected.map(|(_, margin, _)| margin),
+                ),
+            }
+        }
+    };
+    for (name, value) in solve_counters(&solution, solve_opts.threads) {
+        solve_span.counter(name, value);
     }
-    let t1 = Instant::now();
-    let solve_span = tele.span(stage::SOLVE);
-    let compile_span = tele.span(stage::COMPILE);
-    let compiled = CompiledSystem::compile(system);
-    compile_span.counter("constraints", compiled.constraint_count() as f64);
-    compile_span.counter("rows", compiled.row_count() as f64);
-    compile_span.counter("terms", compiled.term_count() as f64);
-    compile_span.counter("lanes", compiled.lane_count() as f64);
-    drop(compile_span);
-    let warm = solve_compiled_warm(&compiled, &solve_opts, init);
-    let margin = extraction_margin(system, &warm, &opts.extract);
-    let accepted = margin >= policy.min_margin;
-    let solution =
-        if accepted { warm } else { solve_compiled(&compiled, &solve_opts) };
-    solve_span.counter("threads", solve_opts.threads.max(1) as f64);
-    solve_span.counter("iterations", solution.iterations as f64);
-    solve_span.counter("restarts", solution.restarts as f64);
-    solve_span.counter("objective", solution.objective);
-    solve_span.counter("violation", solution.violation);
-    solve_span.counter("stop_reason", solution.stop.code() as f64);
-    solve_span.counter("epochs_saved", solution.epochs_saved as f64);
-    solve_span.counter("warm_accepted", f64::from(accepted));
-    solve_span.counter("warm_margin", margin);
-    drop(solve_span);
-    (solution, t1.elapsed(), accepted)
+    if let Some(margin) = warm_margin {
+        solve_span.counter("warm_accepted", f64::from(rung == CheckpointOutcome::HitWarm));
+        solve_span.counter("warm_margin", margin);
+    }
+    if rung == CheckpointOutcome::HitScores {
+        solve_span.counter("replayed", 1.0);
+    }
+    (solution, rung, warm_margin)
 }
 
 /// Specification extraction with its `extract` span.
@@ -1003,43 +1011,12 @@ fn replay_full(
 ) -> Option<SeldonRun> {
     let spec = TaintSpec::parse(&ckpt.spec_text).ok()?;
     let s = &ckpt.summary;
-    tele.aggregate_span(
-        stage::REPRESENTATION,
-        Duration::ZERO,
-        &[
-            ("candidate_events", s.candidates as f64),
-            ("surviving_reps", s.surviving_reps as f64),
-            ("dropped_by_cutoff", s.dropped_by_cutoff as f64),
-            ("dropped_by_blacklist", s.dropped_by_blacklist as f64),
-            ("replayed", 1.0),
-        ],
-    );
-    tele.aggregate_span(
-        stage::CONSTRAINTS,
-        Duration::ZERO,
-        &[
-            ("constraints", s.constraints as f64),
-            ("vars", s.vars as f64),
-            ("pinned", s.pinned as f64),
-            ("template_a", s.by_template[0] as f64),
-            ("template_b", s.by_template[1] as f64),
-            ("template_c", s.by_template[2] as f64),
-            ("replayed", 1.0),
-        ],
-    );
+    gen_spans(tele, s, None, &[]);
+    let solution = ckpt.solution();
     tele.aggregate_span(
         stage::SOLVE,
         load_time,
-        &[
-            ("threads", opts.solve.threads.max(1) as f64),
-            ("iterations", ckpt.iterations as f64),
-            ("restarts", ckpt.restarts as f64),
-            ("objective", ckpt.objective),
-            ("violation", ckpt.violation),
-            ("stop_reason", StopReason::parse(&ckpt.stop_reason).unwrap_or_default().code() as f64),
-            ("epochs_saved", ckpt.epochs_saved as f64),
-            ("replayed", 1.0),
-        ],
+        &[&solve_counters(&solution, opts.solve.threads)[..], &[("replayed", 1.0)]].concat(),
     );
     tele.aggregate_span(
         stage::EXTRACT,
@@ -1052,19 +1029,7 @@ fn replay_full(
     );
     Some(SeldonRun {
         system: ConstraintSystem::new(opts.gen.c),
-        solution: Solution {
-            scores: ckpt.scores.clone(),
-            objective: ckpt.objective,
-            violation: ckpt.violation,
-            iterations: ckpt.iterations,
-            history: Vec::new(),
-            diverged: ckpt.diverged,
-            restarts: ckpt.restarts,
-            final_lr: ckpt.final_lr,
-            stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-            epochs_saved: ckpt.epochs_saved,
-            trace: ckpt.curve.clone(),
-        },
+        solution,
         extraction: Extraction {
             spec,
             event_roles: ckpt.event_role_map(),
@@ -1074,68 +1039,18 @@ fn replay_full(
         gen_time: Duration::ZERO,
         solve_time: load_time,
         gen_stats: GenStats {
-            select_time: Duration::ZERO,
-            collect_time: Duration::ZERO,
             candidate_events: s.candidates as usize,
             surviving_reps: s.surviving_reps as usize,
             dropped_by_cutoff: s.dropped_by_cutoff as usize,
             dropped_by_blacklist: s.dropped_by_blacklist as usize,
+            ..GenStats::default()
         },
     })
 }
 
-/// Packs one finished run into the checkpoint the next run warm-starts
-/// from.
-fn checkpoint_of(
-    input_fp: u64,
-    system_fp: u64,
-    system: &ConstraintSystem,
-    gen_stats: &GenStats,
-    solution: &Solution,
-    extraction: &Extraction,
-) -> Checkpoint {
-    let by_template = system.template_counts();
-    let mut event_roles: Vec<(u32, u8)> = extraction
-        .event_roles
-        .iter()
-        .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
-        .collect();
-    event_roles.sort_unstable();
-    Checkpoint {
-        input_fp,
-        system_fp,
-        scores: solution.scores.clone(),
-        var_keys: Checkpoint::var_keys_of(system),
-        objective: solution.objective,
-        violation: solution.violation,
-        iterations: solution.iterations,
-        restarts: solution.restarts,
-        final_lr: solution.final_lr,
-        diverged: solution.diverged,
-        stop_reason: solution.stop.as_str().to_string(),
-        epochs_saved: solution.epochs_saved,
-        curve: solution.trace.clone(),
-        spec_text: extraction.spec.to_text(),
-        event_roles,
-        backoff_hits: extraction.backoff_hits.clone(),
-        summary: SystemSummary {
-            constraints: system.constraint_count() as u64,
-            vars: system.var_count() as u64,
-            pinned: system.pinned_count() as u64,
-            by_template: [
-                by_template[0] as u64,
-                by_template[1] as u64,
-                by_template[2] as u64,
-            ],
-            candidates: gen_stats.candidate_events as u64,
-            surviving_reps: gen_stats.surviving_reps as u64,
-            dropped_by_cutoff: gen_stats.dropped_by_cutoff as u64,
-            dropped_by_blacklist: gen_stats.dropped_by_blacklist as u64,
-        },
-    }
-}
-
-/// [`run_seldon_traced`] behind the solver warm-start checkpoint.
+/// [`learn_system`] over `graph`, behind the solver warm-start checkpoint
+/// when a cache is attached; with `cache: None` it is the plain traced
+/// run.
 ///
 /// With a cache attached, the run is keyed by two exact fingerprints
 /// (see [`seldon_cache::checkpoint`]): a full input-fingerprint match
@@ -1158,25 +1073,29 @@ pub fn run_seldon_cached(
     tele: &Telemetry,
     cache: Option<&ArtifactCache>,
 ) -> (SeldonRun, CheckpointUse) {
-    let Some(cache) = cache else {
-        return (run_seldon_traced(graph, seed, opts, tele), CheckpointUse::default());
-    };
-    let mut usage = CheckpointUse { outcome: CheckpointOutcome::MissCold, ..Default::default() };
-    let input_fp =
-        input_fingerprint(graph_fingerprint(graph), seed, &opts.gen, &opts.solve, &opts.extract);
-    let t0 = Instant::now();
-    let stored = match cache.load_checkpoint() {
-        CheckpointLookup::Hit(ckpt) => Some(ckpt),
-        CheckpointLookup::Miss => None,
-        CheckpointLookup::Fault(f) => {
-            usage.faults.push(f);
-            None
-        }
-    };
-    let load_time = t0.elapsed();
-
-    if let Some(ckpt) = &stored {
-        if ckpt.input_fp == input_fp {
+    let mut usage = CheckpointUse::default();
+    let mut input_fp = None;
+    let mut prior = None;
+    if let Some(cache) = cache {
+        usage.outcome = CheckpointOutcome::MissCold;
+        let fp = input_fingerprint(
+            graph_fingerprint(graph),
+            seed,
+            &opts.gen,
+            &opts.solve,
+            &opts.extract,
+        );
+        let t0 = Instant::now();
+        prior = match cache.load_checkpoint() {
+            CheckpointLookup::Hit(ckpt) => Some(ckpt),
+            CheckpointLookup::Miss => None,
+            CheckpointLookup::Fault(f) => {
+                usage.faults.push(f);
+                None
+            }
+        };
+        let load_time = t0.elapsed();
+        if let Some(ckpt) = prior.as_deref().filter(|ckpt| ckpt.input_fp == fp) {
             match replay_full(ckpt, opts, tele, load_time) {
                 Some(run) => {
                     usage.outcome = CheckpointOutcome::HitFull;
@@ -1190,78 +1109,23 @@ pub fn run_seldon_cached(
                 }),
             }
         }
+        input_fp = Some(fp);
     }
 
-    let (system, gen_stats, gen_time) = gen_stage(graph, seed, opts, tele);
-    let system_fp = system_fingerprint(&system, &opts.solve);
-    let (solution, solve_time) = match &stored {
-        Some(ckpt) if ckpt.system_fp == system_fp => {
-            usage.outcome = CheckpointOutcome::HitScores;
-            // Replay the solve span with the stored outcome; no compile
-            // child because nothing was compiled.
-            tele.aggregate_span(
-                stage::SOLVE,
-                load_time,
-                &[
-                    ("threads", opts.solve.threads.max(1) as f64),
-                    ("iterations", ckpt.iterations as f64),
-                    ("restarts", ckpt.restarts as f64),
-                    ("objective", ckpt.objective),
-                    ("violation", ckpt.violation),
-                    (
-                        "stop_reason",
-                        StopReason::parse(&ckpt.stop_reason).unwrap_or_default().code() as f64,
-                    ),
-                    ("epochs_saved", ckpt.epochs_saved as f64),
-                    ("replayed", 1.0),
-                ],
-            );
-            (
-                Solution {
-                    scores: ckpt.scores.clone(),
-                    objective: ckpt.objective,
-                    violation: ckpt.violation,
-                    iterations: ckpt.iterations,
-                    history: Vec::new(),
-                    diverged: ckpt.diverged,
-                    restarts: ckpt.restarts,
-                    final_lr: ckpt.final_lr,
-                    stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-                    epochs_saved: ckpt.epochs_saved,
-                    trace: ckpt.curve.clone(),
-                },
-                load_time,
-            )
-        }
-        _ => {
-            let warm_seed = opts.warm_start.as_ref().and_then(|policy| {
-                let init = stored.as_ref()?.warm_init_for(&system)?;
-                Some((policy, init))
-            });
-            match warm_seed {
-                Some((policy, init)) => {
-                    let (solution, solve_time, accepted) =
-                        warm_solve_stage(&system, &init, policy, opts, tele);
-                    if accepted {
-                        usage.outcome = CheckpointOutcome::HitWarm;
-                    }
-                    (solution, solve_time)
-                }
-                None => solve_stage(&system, opts, tele),
-            }
-        }
-    };
-    let extraction = extract_stage(&system, &solution, opts, tele);
+    let t0 = Instant::now();
+    let (system, gen_stats) = generate_with_stats(graph, seed, &opts.gen);
+    let gen_time = t0.elapsed();
+    let learned = learn_system(&system, &gen_stats, input_fp, prior.as_deref(), opts, tele, &[]);
     // Store (or re-key) the checkpoint so the next identical run takes the
     // full-reuse path.
-    let ckpt = checkpoint_of(input_fp, system_fp, &system, &gen_stats, &solution, &extraction);
-    if let Some(f) = cache.store_checkpoint(&ckpt) {
-        usage.faults.push(f);
+    if let (Some(cache), Some(ckpt)) = (cache, &learned.checkpoint) {
+        usage.outcome = learned.rung;
+        if let Some(f) = cache.store_checkpoint(ckpt) {
+            usage.faults.push(f);
+        }
     }
-    (
-        SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats },
-        usage,
-    )
+    let Learned { solution, extraction, solve_time, .. } = learned;
+    (SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats }, usage)
 }
 
 #[cfg(test)]
@@ -1509,8 +1373,7 @@ mod tests {
         for h in &analyzed.parse_histograms {
             assert_eq!(h.total(), 1, "one file per frontend");
         }
-        // Without active telemetry the untimed builders run (no clock
-        // reads), so no histogram is fabricated from zero durations.
+        // Without active telemetry nothing is tallied.
         let (analyzed, _) =
             analyze_corpus_with(&mixed_lang_corpus(), &AnalyzeOptions::default()).unwrap();
         assert!(analyzed.parse_histograms.is_empty());

@@ -153,7 +153,7 @@ mod tests {
     use crate::generator::{generate_corpus, CorpusOptions};
     use crate::universe::Universe;
     use seldon_propgraph::{
-        build_source, build_source_budgeted, Budget, BudgetExceeded, BuildError, FileId,
+        build_source, build_source_timed, Budget, BudgetExceeded, BuildError, FileId,
     };
 
     const CLEAN: &str = "import flask\n\ndef handler():\n    x = flask.request.args.get('q')\n    return x\n";
@@ -179,12 +179,12 @@ mod tests {
     fn budget_faults_parse_but_trip_default_budget() {
         let deep = faulted(FaultKind::DeepNesting);
         assert!(matches!(
-            build_source_budgeted(&deep, FileId(0), &Budget::default()),
+            build_source_timed(&deep, FileId(0), Some(&Budget::default())),
             Err(BuildError::OverBudget(BudgetExceeded::Depth { .. }))
         ));
         let big = faulted(FaultKind::Oversized);
         assert!(matches!(
-            build_source_budgeted(&big, FileId(0), &Budget::default()),
+            build_source_timed(&big, FileId(0), Some(&Budget::default())),
             Err(BuildError::OverBudget(BudgetExceeded::SourceBytes { .. }))
         ));
         // Without a budget, deep nesting is merely slow, not fatal.

@@ -74,36 +74,9 @@ pub fn build_js_source_lenient(
     (build_ir(&lower_js_program(&program), file), errors)
 }
 
-/// Like [`build_js_source`], with every phase held to a resource
-/// [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips.
-pub fn build_js_source_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BuildError> {
-    build_js_source_timed(source, file, Some(budget)).map(|(g, _)| g)
-}
-
-/// Like [`build_js_source_lenient`], under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips.
-pub fn build_js_source_lenient_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<(PropagationGraph, Vec<FrontendError>), BudgetExceeded> {
-    build_js_source_lenient_timed(source, file, Some(budget)).map(|(g, e, _)| (g, e))
-}
-
-/// Strict timed build: the budget-optional superset of [`build_js_source`]
-/// and [`build_js_source_budgeted`], reporting the parse/build phase split.
+/// Strict build under an optional resource [`Budget`], reporting the
+/// parse/build phase split. The budget-optional superset of
+/// [`build_js_source`].
 ///
 /// # Errors
 ///
@@ -131,9 +104,9 @@ pub fn build_js_source_timed(
     Ok((graph, timings))
 }
 
-/// Lenient timed build: the budget-optional superset of
-/// [`build_js_source_lenient`] and [`build_js_source_lenient_budgeted`],
-/// reporting the parse/build phase split.
+/// Lenient build under an optional resource [`Budget`], reporting the
+/// parse/build phase split; only a budget trip fails the whole file. The
+/// budget-optional superset of [`build_js_source_lenient`].
 ///
 /// # Errors
 ///
@@ -214,7 +187,7 @@ mod tests {
     #[test]
     fn budgeted_build_trips_on_source_size() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
-        let err = build_js_source_budgeted("const a = b;", FileId(0), &tight).unwrap_err();
+        let err = build_js_source_timed("const a = b;", FileId(0), Some(&tight)).unwrap_err();
         assert!(matches!(
             err,
             BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })

@@ -109,38 +109,6 @@ pub fn build_module_budgeted(
     Ok(build_ir(&ir, file))
 }
 
-/// Like [`build_source`], with every phase held to a resource [`Budget`]:
-/// the source size is checked before parsing and the graph walk is
-/// metered cooperatively.
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips.
-pub fn build_source_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BuildError> {
-    build_source_timed(source, file, Some(budget)).map(|(g, _)| g)
-}
-
-/// Like [`build_source_lenient`], under a resource [`Budget`].
-///
-/// Parse errors degrade per statement as usual; only a budget trip fails
-/// the whole file.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips.
-pub fn build_source_lenient_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<(PropagationGraph, Vec<FrontendError>), BudgetExceeded> {
-    build_source_lenient_timed(source, file, Some(budget)).map(|(g, e, _)| (g, e))
-}
-
 /// Wall-clock split of one file's front-end work, reported by the
 /// `*_timed` entry points. The telemetry layer sums these per-file
 /// durations across worker threads into the `parse` and `propgraph`
@@ -162,8 +130,10 @@ impl BuildTimings {
     }
 }
 
-/// Strict timed build: the budget-optional superset of [`build_source`]
-/// and [`build_source_budgeted`], reporting the parse/build phase split.
+/// Strict build under an optional resource [`Budget`] (the source size is
+/// checked before parsing and the graph walk is metered cooperatively),
+/// reporting the parse/build phase split. The budget-optional superset
+/// of [`build_source`].
 ///
 /// # Errors
 ///
@@ -190,9 +160,10 @@ pub fn build_source_timed(
     Ok((graph, timings))
 }
 
-/// Lenient timed build: the budget-optional superset of
-/// [`build_source_lenient`] and [`build_source_lenient_budgeted`],
-/// reporting the parse/build phase split.
+/// Lenient build under an optional resource [`Budget`], reporting the
+/// parse/build phase split: parse errors degrade per statement as usual
+/// and only a budget trip fails the whole file. The budget-optional
+/// superset of [`build_source_lenient`].
 ///
 /// # Errors
 ///

@@ -36,9 +36,8 @@ pub mod stats;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{
-    build_module, build_module_budgeted, build_source, build_source_budgeted,
-    build_source_lenient, build_source_lenient_budgeted, build_source_lenient_timed,
-    build_source_timed, BuildError, BuildTimings,
+    build_module, build_module_budgeted, build_source, build_source_lenient,
+    build_source_lenient_timed, build_source_timed, BuildError, BuildTimings,
 };
 pub use dot::to_dot;
 pub use event::{Event, EventId, EventKind, FileId};

@@ -45,12 +45,12 @@
 //! `2` — usage errors (bad arguments, unreadable spec, no input files for
 //! `graph`/`check`).
 
-use seldon_cache::ArtifactCache;
+use seldon_cache::{ArtifactCache, CacheFault};
 use seldon_constraints::GenOptions;
 use seldon_core::{
-    analyze_corpus_with, run_full, AnalysisReport, AnalyzeOptions, AnalyzedCorpus,
-    CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend, SeldonOptions,
-    WarmStartOptions,
+    analyze_corpus_with, default_rep_cutoff, run_full, AnalysisReport, AnalyzeOptions,
+    AnalyzedCorpus, CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend,
+    SeldonOptions, WarmStartOptions,
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::{to_dot, Budget, FileId};
@@ -347,6 +347,22 @@ fn cli_analyze_opts(policy: FaultPolicy, tele: &Telemetry, threads: usize) -> An
     }
 }
 
+/// Opens `--cache-dir`, if given. A failed open degrades loudly to an
+/// uncached (but correct) run; faults found while validating the
+/// directory are returned for the caller to report.
+fn open_cache(dir: Option<&str>) -> (Option<Arc<ArtifactCache>>, Vec<CacheFault>) {
+    let Some(dir) = dir else {
+        return (None, Vec::new());
+    };
+    match ArtifactCache::open(Path::new(dir)) {
+        Ok((cache, faults)) => (Some(Arc::new(cache)), faults),
+        Err(e) => {
+            eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
+            (None, Vec::new())
+        }
+    }
+}
+
 /// Reads `files`, wraps them as a single-project corpus, and runs the
 /// fault-tolerant pipeline over it under `policy` with default budgets on
 /// `threads` workers.
@@ -538,27 +554,13 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         return Ok(Outcome::Clean);
     }
     let (corpus, names, io_skipped) = read_corpus(&files)?;
-    // A failed cache open degrades loudly to an uncached (but correct) run;
-    // faults found while validating the cache directory are warned and
-    // folded into the report below.
-    let mut open_faults = Vec::new();
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match ArtifactCache::open(Path::new(dir)) {
-            Ok((cache, faults)) => {
-                open_faults = faults;
-                Some(Arc::new(cache))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
-                None
-            }
-        },
-    };
+    // Faults found while validating the cache directory are folded into
+    // the report below.
+    let (cache, open_faults) = open_cache(cache_dir);
     let cutoff: usize = opts
         .get("--cutoff")
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if names.len() < 50 { 2 } else { 5 });
+        .unwrap_or(default_rep_cutoff(names.len()));
     // Early-stop is on by default (SolveOptions::default()); the flags
     // force it either way, e.g. `--no-early-stop` to burn the full
     // `max_iters` budget for an exactly reproducible epoch count.
@@ -723,21 +725,10 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
     .with_log_level(level_from_opts(&opts)?);
     let seed = load_spec(opts.get("--seed").copied())?;
     let files = collect_source_files(&paths)?;
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match ArtifactCache::open(Path::new(dir)) {
-            Ok((cache, faults)) => {
-                for fault in faults {
-                    eprintln!("warning: cache fault ({dir}): {fault}");
-                }
-                Some(Arc::new(cache))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
-                None
-            }
-        },
-    };
+    let (cache, open_faults) = open_cache(cache_dir);
+    for fault in open_faults {
+        eprintln!("warning: cache fault ({}): {fault}", cache_dir.unwrap_or_default());
+    }
     let explicit_cutoff: Option<usize> = match opts.get("--cutoff") {
         Some(v) => Some(v.parse().map_err(|_| {
             CliError::usage(format!("--cutoff expects a number, got `{v}`"))

@@ -40,30 +40,20 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use seldon_cache::{
-    graph_fingerprint, input_fingerprint, system_fingerprint, Checkpoint, CheckpointLookup,
-    SystemSummary,
-};
+use seldon_cache::{graph_fingerprint, input_fingerprint, Checkpoint, CheckpointLookup};
 use seldon_constraints::{
     collect_rows, select, ConstraintSystem, FlowConstraint, GenStats, RepId, Selection, Template,
     Term,
 };
 use seldon_core::{
-    analysis_cache_key, analyze_file, AnalyzeOptions, FileOutcome, SeldonOptions,
-    DEFAULT_TRACE_STRIDE,
+    analysis_cache_key, analyze_file, cache_summary, constraint_summary, default_rep_cutoff,
+    extraction_summary, learn_system, memory_summary, set_intern_gauge, solver_summary,
+    AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
-use seldon_solver::{
-    extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem, Extraction,
-    Solution, StopReason,
-};
 use seldon_specs::Role;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::manifest::{
-    stage, CacheSummary, ConstraintSummary, CorpusShape, ExtractionSummary, MemorySummary,
-    OutcomeCounts, RunManifest, SolverSummary, TaintSummary,
-};
-use seldon_telemetry::MemoryGauge;
+use seldon_telemetry::manifest::{stage, CorpusShape, OutcomeCounts, RunManifest, TaintSummary};
 
 /// Configuration fixed for the lifetime of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -77,8 +67,8 @@ pub struct EngineConfig {
     /// engine falls back to cold solves without it.
     pub seldon: SeldonOptions,
     /// When true, the §4.3 cutoff follows the `seldon learn` CLI default
-    /// (2 below 50 files, 5 at or above) as the corpus grows and
-    /// shrinks; when false, `seldon.gen.rep_cutoff` is used as-is.
+    /// ([`default_rep_cutoff`]) as the corpus grows and shrinks; when
+    /// false, `seldon.gen.rep_cutoff` is used as-is.
     pub dynamic_cutoff: bool,
 }
 
@@ -532,15 +522,13 @@ impl ServeEngine {
     fn effective_seldon(&self) -> SeldonOptions {
         let mut seldon = self.cfg.seldon.clone();
         if self.cfg.dynamic_cutoff {
-            seldon.gen.rep_cutoff = if self.files.len() < 50 { 2 } else { 5 };
-        }
-        if self.cfg.analyze.telemetry.is_recording() && seldon.solve.trace_stride == 0 {
-            seldon.solve.trace_stride = DEFAULT_TRACE_STRIDE;
+            seldon.gen.rep_cutoff = default_rep_cutoff(self.files.len());
         }
         seldon
     }
 
-    /// Union → select → collect/remap → solve → extract → checkpoint.
+    /// Union → select → collect/remap, then the shared learn path
+    /// ([`learn_system`]: solve ladder → extract → checkpoint).
     fn rebuild(
         &mut self,
         t0: Instant,
@@ -605,16 +593,6 @@ impl ServeEngine {
         // §4.3 selection is global (corpus-wide frequency counts) and
         // always re-runs; what it yields decides per-file row reuse.
         let Selection { sys: mut system, event_reps, stats } = select(&union, &self.cfg.seed, &seldon.gen);
-        tele.aggregate_span(
-            stage::REPRESENTATION,
-            stats.select_time,
-            &[
-                ("candidate_events", stats.candidate_events as f64),
-                ("surviving_reps", stats.surviving_reps as f64),
-                ("dropped_by_cutoff", stats.dropped_by_cutoff as f64),
-                ("dropped_by_blacklist", stats.dropped_by_blacklist as f64),
-            ],
-        );
 
         // Fig. 4 rows per file: reuse the stored fragment when the
         // file's selection slice is unchanged, re-collect otherwise.
@@ -657,93 +635,41 @@ impl ServeEngine {
         }
         self.counters.fragments_reused += reused;
         self.counters.fragments_collected += collected;
-        let by_template = system.template_counts();
-        tele.aggregate_span(
-            stage::CONSTRAINTS,
-            t_collect.elapsed(),
-            &[
-                ("constraints", system.constraint_count() as f64),
-                ("vars", system.var_count() as f64),
-                ("pinned", system.pinned_count() as f64),
-                ("template_a", by_template[0] as f64),
-                ("template_b", by_template[1] as f64),
-                ("template_c", by_template[2] as f64),
-                ("fragments_reused", reused as f64),
-                ("fragments_collected", collected as f64),
-            ],
-        );
+        let gen_stats = GenStats { collect_time: t_collect.elapsed(), ..stats };
 
-        // Solve ladder: scores hit → warm attempt → cold.
-        let system_fp = system_fingerprint(&system, &seldon.solve);
-        let t_solve = Instant::now();
-        let mut warm_margin = None;
-        let (solution, label) = match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.system_fp == system_fp => {
+        let fragments =
+            [("fragments_reused", reused as f64), ("fragments_collected", collected as f64)];
+        let learned = learn_system(
+            &system,
+            &gen_stats,
+            Some(input_fp),
+            self.ckpt.as_ref(),
+            &seldon,
+            &tele,
+            &fragments,
+        );
+        let label = match learned.rung {
+            CheckpointOutcome::HitScores => {
                 self.counters.solves_scores += 1;
-                (scores_solution(ckpt), "scores")
+                "scores"
             }
-            prior => {
-                let compiled = CompiledSystem::compile(&system);
-                let init = match (&seldon.warm_start, prior) {
-                    (Some(_), Some(ckpt)) => ckpt.warm_init_for(&system),
-                    _ => None,
-                };
-                match init {
-                    Some(init) => {
-                        let warm = solve_compiled_warm(&compiled, &seldon.solve, &init);
-                        let margin = extraction_margin(&system, &warm, &seldon.extract);
-                        warm_margin = Some(margin);
-                        let policy = seldon.warm_start.as_ref().expect("init implies policy");
-                        if margin >= policy.min_margin {
-                            self.counters.solves_warm += 1;
-                            (warm, "warm")
-                        } else {
-                            self.counters.solves_cold += 1;
-                            (solve_compiled(&compiled, &seldon.solve), "cold")
-                        }
-                    }
-                    None => {
-                        self.counters.solves_cold += 1;
-                        (solve_compiled(&compiled, &seldon.solve), "cold")
-                    }
-                }
+            CheckpointOutcome::HitWarm => {
+                self.counters.solves_warm += 1;
+                "warm"
+            }
+            _ => {
+                self.counters.solves_cold += 1;
+                "cold"
             }
         };
-        tele.aggregate_span(
-            stage::SOLVE,
-            t_solve.elapsed(),
-            &[
-                ("threads", seldon.solve.threads.max(1) as f64),
-                ("iterations", solution.iterations as f64),
-                ("restarts", solution.restarts as f64),
-                ("objective", solution.objective),
-                ("violation", solution.violation),
-                ("stop_reason", solution.stop.code() as f64),
-                ("epochs_saved", solution.epochs_saved as f64),
-                ("warm_accepted", f64::from(label == "warm")),
-            ],
-        );
-
-        let t_extract = Instant::now();
-        let extraction = extract(&system, &solution, &seldon.extract);
-        tele.aggregate_span(
-            stage::EXTRACT,
-            t_extract.elapsed(),
-            &[
-                ("learned_entries", extraction.spec.role_count() as f64),
-                ("events_with_roles", extraction.event_roles.len() as f64),
-            ],
-        );
-
-        let gen_stats = GenStats { collect_time: t_collect.elapsed(), ..stats };
-        let ckpt = make_checkpoint(input_fp, system_fp, &system, &gen_stats, &solution, &extraction);
+        let ckpt = learned.checkpoint.expect("an input fingerprint packs a checkpoint");
         if let Some(cache) = self.cfg.analyze.cache.as_deref() {
             if let Some(fault) = cache.store_checkpoint(&ckpt) {
                 faults.push(format!("checkpoint store: {fault}"));
             }
         }
         let spec_text = ckpt.spec_text.clone();
-        let learned_entries = extraction.spec.role_count();
+        let learned_entries = learned.extraction.spec.role_count();
         let (constraints, vars) = (system.constraint_count(), system.var_count());
         self.ckpt = Some(ckpt);
         self.built = true;
@@ -762,7 +688,7 @@ impl ServeEngine {
             constraints,
             vars,
             learned_entries,
-            warm_margin,
+            warm_margin: learned.warm_margin,
             faults,
             elapsed: t0.elapsed(),
         })
@@ -793,65 +719,15 @@ impl ServeEngine {
         m.outcomes = outcomes;
         m.stages = self.cfg.analyze.telemetry.take_spans().into_iter().map(Into::into).collect();
         if let Some(ckpt) = self.ckpt.as_ref() {
-            let s = &ckpt.summary;
-            m.constraints = ConstraintSummary {
-                total: s.constraints,
-                vars: s.vars,
-                pinned: s.pinned,
-                by_template: s.by_template,
-            };
-            m.solver = SolverSummary {
-                iterations: ckpt.iterations as u64,
-                restarts: ckpt.restarts as u64,
-                diverged: ckpt.diverged,
-                final_lr: ckpt.final_lr,
-                objective: ckpt.objective,
-                violation: ckpt.violation,
-                threads: self.cfg.seldon.solve.threads.max(1) as u64,
-                stop_reason: ckpt.stop_reason.clone(),
-                epochs_saved: ckpt.epochs_saved as u64,
-                curve: ckpt.curve.clone(),
-            };
-            let mut learned = [0u64; 3];
-            if let Ok(spec) = TaintSpec::parse(&ckpt.spec_text) {
-                for (_, roles) in spec.iter() {
-                    for role in Role::ALL {
-                        if roles.contains(role) {
-                            learned[role.index()] += 1;
-                        }
-                    }
-                }
-            }
-            m.extraction = ExtractionSummary {
-                thresholds: self.cfg.seldon.extract.thresholds,
-                decay: self.cfg.seldon.extract.decay,
-                backoff_hits: ckpt.backoff_hits.iter().map(|&n| n as u64).collect(),
-                learned,
-            };
+            m.constraints = constraint_summary(&ckpt.summary);
+            m.solver = solver_summary(&ckpt.solution(), self.cfg.seldon.solve.threads);
+            let spec = TaintSpec::parse(&ckpt.spec_text).unwrap_or_default();
+            m.extraction =
+                extraction_summary(&spec, &ckpt.backoff_hits, &self.cfg.seldon.extract);
         }
         m.taint = TaintSummary { violations: 0 };
-        m.cache = match self.cfg.analyze.cache.as_deref() {
-            None => CacheSummary::default(),
-            Some(cache) => {
-                let s = cache.stats();
-                CacheSummary {
-                    enabled: true,
-                    hits: s.hits,
-                    misses: s.misses,
-                    stores: s.stores,
-                    corrupt: s.corrupt,
-                    stale: s.stale,
-                    evicted: s.evicted,
-                    checkpoint: self.last_solve.to_string(),
-                }
-            }
-        };
-        m.memory = MemorySummary {
-            tracked: true,
-            current_bytes: MemoryGauge::current_bytes(),
-            peak_bytes: MemoryGauge::peak_bytes(),
-            peak_rss_bytes: MemoryGauge::peak_rss_bytes().unwrap_or(0),
-        };
+        m.cache = cache_summary(self.cfg.analyze.cache.as_deref(), self.last_solve);
+        m.memory = memory_summary();
         self.fill_metrics(&mut m.metrics);
         m
     }
@@ -887,83 +763,8 @@ impl ServeEngine {
             false,
             self.files.len() as f64,
         );
-        // Non-volatile on purpose: repeated identical deltas must not
-        // grow the interner — this gauge is the daemon's leak detector.
-        reg.set_gauge(
-            "intern_symbols",
-            "Global interner size (symbols live for the process lifetime).",
-            false,
-            seldon_intern::len() as f64,
-        );
-    }
-}
-
-/// Rebuilds a [`Solution`] from checkpointed scores (the `"scores"` hit:
-/// the system fingerprint matched, so the stored vector aligns
-/// variable-for-variable with the freshly selected system).
-fn scores_solution(ckpt: &Checkpoint) -> Solution {
-    Solution {
-        scores: ckpt.scores.clone(),
-        objective: ckpt.objective,
-        violation: ckpt.violation,
-        iterations: ckpt.iterations,
-        history: Vec::new(),
-        diverged: ckpt.diverged,
-        restarts: ckpt.restarts,
-        final_lr: ckpt.final_lr,
-        stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-        epochs_saved: ckpt.epochs_saved,
-        trace: ckpt.curve.clone(),
-    }
-}
-
-/// Packs one finished build into the checkpoint the next delta (or a
-/// batch `seldon learn` over the same cache) warm-starts from.
-fn make_checkpoint(
-    input_fp: u64,
-    system_fp: u64,
-    system: &ConstraintSystem,
-    gen_stats: &GenStats,
-    solution: &Solution,
-    extraction: &Extraction,
-) -> Checkpoint {
-    let by_template = system.template_counts();
-    let mut event_roles: Vec<(u32, u8)> = extraction
-        .event_roles
-        .iter()
-        .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
-        .collect();
-    event_roles.sort_unstable();
-    Checkpoint {
-        input_fp,
-        system_fp,
-        scores: solution.scores.clone(),
-        var_keys: Checkpoint::var_keys_of(system),
-        objective: solution.objective,
-        violation: solution.violation,
-        iterations: solution.iterations,
-        restarts: solution.restarts,
-        final_lr: solution.final_lr,
-        diverged: solution.diverged,
-        stop_reason: solution.stop.as_str().to_string(),
-        epochs_saved: solution.epochs_saved,
-        curve: solution.trace.clone(),
-        spec_text: extraction.spec.to_text(),
-        event_roles,
-        backoff_hits: extraction.backoff_hits.clone(),
-        summary: SystemSummary {
-            constraints: system.constraint_count() as u64,
-            vars: system.var_count() as u64,
-            pinned: system.pinned_count() as u64,
-            by_template: [
-                by_template[0] as u64,
-                by_template[1] as u64,
-                by_template[2] as u64,
-            ],
-            candidates: gen_stats.candidate_events as u64,
-            surviving_reps: gen_stats.surviving_reps as u64,
-            dropped_by_cutoff: gen_stats.dropped_by_cutoff as u64,
-            dropped_by_blacklist: gen_stats.dropped_by_blacklist as u64,
-        },
+        // The daemon's leak detector: repeated identical deltas must not
+        // grow the interner.
+        set_intern_gauge(reg);
     }
 }

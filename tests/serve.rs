@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup};
 use seldon_constraints::GenOptions;
 use seldon_core::{
-    run_full, run_seldon_cached, AnalyzeOptions, FaultPolicy, SeldonOptions, WarmStartOptions,
+    run_full, run_seldon_cached, AnalyzeOptions, CheckpointOutcome, FaultPolicy, SeldonOptions,
+    WarmStartOptions,
 };
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
@@ -329,6 +330,46 @@ fn daemon_restart_replays_from_the_persisted_checkpoint() {
         .expect("restart load");
     assert_eq!(out.solve, "replayed", "restart over an unchanged corpus replays");
     assert_eq!(out.spec, spec);
+}
+
+/// `seldon learn` and `seldon serve` write the same checkpoint: either one
+/// replays what the other stored over the same cache directory.
+#[test]
+fn batch_and_served_runs_replay_each_others_checkpoint() {
+    let (files, seed) = fixture(4, 55);
+    let open = |dir: &Path| Arc::new(ArtifactCache::open(dir).expect("cache opens").0);
+    let batch = |dir: &Path| {
+        let analyze = analyze_opts(Some(open(dir)));
+        run_full(&batch_corpus(&files), &seed, "learn", &analyze, &seldon_opts(1))
+            .expect("batch run succeeds")
+    };
+
+    // Batch first: a fresh engine's initial load replays its checkpoint.
+    let dir = temp_dir("cross-batch-first");
+    let spec = batch(&dir).run.extraction.spec.to_text();
+    let mut engine = ServeEngine::new(EngineConfig {
+        seed: seed.clone(),
+        analyze: analyze_opts(Some(open(&dir))),
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    });
+    let out = engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("initial load");
+    assert_eq!(out.solve, "replayed", "the engine replays the batch checkpoint");
+    assert_eq!(out.spec, spec);
+
+    // Engine first: a batch run over its cache takes the full-reuse path.
+    let dir = temp_dir("cross-serve-first");
+    let served = engine_with(&files, &seed, 1, Some(&dir)).spec().unwrap().to_string();
+    let full = batch(&dir);
+    assert_eq!(
+        full.checkpoint.outcome,
+        CheckpointOutcome::HitFull,
+        "batch replays the engine's checkpoint"
+    );
+    assert_eq!(full.run.extraction.spec.to_text(), served);
+    assert_eq!(served, spec);
 }
 
 #[test]
