@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use seldon_constraints::{generate, GenOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId, PropagationGraph};
+use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
 
 fn corpus_graphs() -> (Vec<PropagationGraph>, usize) {
     let universe = Universe::new();
@@ -21,10 +21,11 @@ fn corpus_graphs() -> (Vec<PropagationGraph>, usize) {
             ..Default::default()
         },
     );
+    let opts = BuildOptions::default();
     let graphs: Vec<PropagationGraph> = corpus
         .files()
         .enumerate()
-        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32)).expect("parses"))
+        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32), &opts).expect("parses").graph)
         .collect();
     let files = graphs.len();
     (graphs, files)

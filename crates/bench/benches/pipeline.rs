@@ -5,20 +5,21 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use seldon_constraints::{generate, GenOptions};
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 
 fn bench_graph_build(c: &mut Criterion) {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &CorpusOptions { projects: 40, ..Default::default() });
     let files: Vec<String> = corpus.files().map(|(_, f)| f.content.clone()).collect();
     let bytes: usize = files.iter().map(String::len).sum();
+    let opts = BuildOptions::default();
     let mut g = c.benchmark_group("graph_build");
     g.throughput(Throughput::Bytes(bytes as u64));
     g.bench_function("per_file_graphs", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for (i, src) in files.iter().enumerate() {
-                let graph = build_source(src, FileId(i as u32)).expect("parses");
+                let graph = build_source(src, FileId(i as u32), &opts).expect("parses").graph;
                 total += graph.event_count();
             }
             total

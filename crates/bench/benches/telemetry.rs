@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use seldon_constraints::{generate, generate_with_stats, GenOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId, PropagationGraph};
+use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Telemetry};
 
@@ -26,10 +26,11 @@ fn corpus_graphs() -> (Vec<PropagationGraph>, usize) {
             ..Default::default()
         },
     );
+    let opts = BuildOptions::default();
     let graphs: Vec<PropagationGraph> = corpus
         .files()
         .enumerate()
-        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32)).expect("parses"))
+        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32), &opts).expect("parses").graph)
         .collect();
     let files = graphs.len();
     (graphs, files)

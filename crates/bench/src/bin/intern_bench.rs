@@ -11,7 +11,7 @@ use seldon_bench::median_ms;
 use seldon_constraints::{generate, GenOptions};
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId, PropagationGraph};
+use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
 use seldon_telemetry::BenchRecord;
 use std::time::Instant;
 
@@ -50,10 +50,13 @@ fn main() {
     assert!(files >= 500, "bench corpus too small: {files} files");
 
     // Per-file graphs, built once (build cost is out of scope here).
+    let opts = BuildOptions::default();
     let graphs: Vec<PropagationGraph> = corpus
         .files()
         .enumerate()
-        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32)).expect("generated file parses"))
+        .map(|(i, (_, f))| {
+            build_source(&f.content, FileId(i as u32), &opts).expect("generated file parses").graph
+        })
         .collect();
 
     // --- union ------------------------------------------------------------

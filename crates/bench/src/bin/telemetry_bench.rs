@@ -14,7 +14,7 @@
 use seldon_bench::median_ms;
 use seldon_constraints::{generate, generate_with_stats, GenOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId, PropagationGraph};
+use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, BenchRecord, Telemetry};
 use std::time::Instant;
@@ -76,10 +76,11 @@ fn main() {
     );
     let files = corpus.file_count();
     assert!(files >= 500, "bench corpus too small: {files} files");
+    let opts = BuildOptions::default();
     let graphs: Vec<PropagationGraph> = corpus
         .files()
         .enumerate()
-        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32)).expect("parses"))
+        .map(|(i, (_, f))| build_source(&f.content, FileId(i as u32), &opts).expect("parses").graph)
         .collect();
     let seed = universe.seed_spec();
 

@@ -374,7 +374,7 @@ impl FileArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::build_source;
+    use seldon_propgraph::{build_source, BuildOptions};
 
     const SOURCE: &str = "import flask\nimport os\n\ndef handler():\n    q = flask.request.args.get('q')\n    os.system(q)\n";
 
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn graph_round_trips_with_restamped_file_id() {
-        let graph = build_source(SOURCE, FileId(0)).unwrap();
+        let graph = build_source(SOURCE, FileId(0), &BuildOptions::default()).unwrap().graph;
         let artifact = FileArtifact::from_graph(&graph, 0);
         let payload = artifact.to_payload();
         let back = FileArtifact::from_payload(&payload).unwrap();
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn payload_contains_no_raw_symbols() {
-        let graph = build_source(SOURCE, FileId(7)).unwrap();
+        let graph = build_source(SOURCE, FileId(7), &BuildOptions::default()).unwrap().graph;
         let payload = FileArtifact::from_graph(&graph, 0).to_payload();
         let text = std::str::from_utf8(&payload).unwrap();
         // Every representation appears by string; the payload parses in
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn tampered_fragment_is_rejected() {
-        let graph = build_source(SOURCE, FileId(0)).unwrap();
+        let graph = build_source(SOURCE, FileId(0), &BuildOptions::default()).unwrap().graph;
         let mut artifact = FileArtifact::from_graph(&graph, 0);
         artifact.freq[0].1 += 1;
         assert!(matches!(
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn out_of_range_indices_are_rejected() {
-        let graph = build_source(SOURCE, FileId(0)).unwrap();
+        let graph = build_source(SOURCE, FileId(0), &BuildOptions::default()).unwrap().graph;
         let artifact = FileArtifact::from_graph(&graph, 0);
         let mut bad = artifact.clone();
         bad.events[0].2 = vec![9999];

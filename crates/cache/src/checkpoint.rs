@@ -609,7 +609,11 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
+
+    fn graph_of(src: &str) -> PropagationGraph {
+        build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph
+    }
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -732,16 +736,16 @@ mod tests {
 
     #[test]
     fn graph_fingerprint_tracks_content_not_symbols() {
-        let a = build_source("import os\nos.system('x')\n", FileId(0)).unwrap();
-        let b = build_source("import os\nos.system('x')\n", FileId(0)).unwrap();
+        let a = graph_of("import os\nos.system('x')\n");
+        let b = graph_of("import os\nos.system('x')\n");
         assert_eq!(graph_fingerprint(&a), graph_fingerprint(&b));
-        let c = build_source("import os\nos.remove('x')\n", FileId(0)).unwrap();
+        let c = graph_of("import os\nos.remove('x')\n");
         assert_ne!(graph_fingerprint(&a), graph_fingerprint(&c));
     }
 
     #[test]
     fn fingerprints_react_to_every_option_group() {
-        let graph = build_source("import os\nos.system('x')\n", FileId(0)).unwrap();
+        let graph = graph_of("import os\nos.system('x')\n");
         let gfp = graph_fingerprint(&graph);
         let seed = TaintSpec::new();
         let (gen, solve, extract) =

@@ -30,9 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const ENTRY_MAGIC: &str = "seldon-cache";
 
 /// Version stamp of the on-disk entry format. Bump on any change to the
-/// frame or payload encodings; readers treat other versions as
-/// [`EntryError::Stale`] and recompute.
-pub const ENTRY_VERSION: u32 = 1;
+/// frame or payload encodings, or to what a payload means; readers treat
+/// other versions as [`EntryError::Stale`] and recompute. v2: lenient
+/// artifacts from before the Python parser reported and skipped stray
+/// indented blocks are never served.
+pub const ENTRY_VERSION: u32 = 2;
 
 /// Why an entry could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

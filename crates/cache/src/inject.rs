@@ -152,7 +152,7 @@ pub fn inject_cache_faults(dir: &Path, rate: f64, seed: u64) -> Vec<InjectedCach
 mod tests {
     use super::*;
     use crate::store::{file_key, ArtifactCache, ArtifactLookup};
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId};
 
     #[test]
     fn injection_is_deterministic_and_every_fault_is_contained() {
@@ -163,7 +163,7 @@ mod tests {
             .collect();
         let (cache, _) = ArtifactCache::open(&dir).unwrap();
         for src in &sources {
-            let graph = build_source(src, FileId(0)).unwrap();
+            let graph = build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph;
             cache.store_artifact(file_key(src, 0, 0), &graph, 0);
         }
         let a = inject_cache_faults(&dir, 0.5, 42);
@@ -172,7 +172,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
         let (cache, _) = ArtifactCache::open(&dir).unwrap();
         for src in &sources {
-            let graph = build_source(src, FileId(0)).unwrap();
+            let graph = build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph;
             cache.store_artifact(file_key(src, 0, 0), &graph, 0);
         }
         let b = inject_cache_faults(&dir, 0.5, 42);
@@ -186,7 +186,8 @@ mod tests {
             let damaged = b.iter().any(|f| f.entry == format!("{key:016x}.entry"));
             match cache.load_artifact(key, FileId(0)) {
                 ArtifactLookup::Hit(graph, _) => {
-                    let fresh = build_source(src, FileId(0)).unwrap();
+                    let fresh =
+                        build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph;
                     assert_eq!(
                         graph.event_count(),
                         fresh.event_count(),

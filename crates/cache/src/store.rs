@@ -461,7 +461,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::build_source;
+    use seldon_propgraph::{build_source, BuildOptions};
 
     fn temp_cache(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("seldon-store-{tag}-{}", std::process::id()));
@@ -470,7 +470,9 @@ mod tests {
     }
 
     fn sample_graph() -> PropagationGraph {
-        build_source("import os\nos.system('x')\n", FileId(0)).unwrap()
+        build_source("import os\nos.system('x')\n", FileId(0), &BuildOptions::default())
+            .unwrap()
+            .graph
     }
 
     #[test]

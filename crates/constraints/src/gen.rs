@@ -424,7 +424,7 @@ pub fn constraint_vars(c: &FlowConstraint) -> Vec<VarId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId};
 
     fn opts() -> GenOptions {
         GenOptions { rep_cutoff: 1, ..Default::default() }
@@ -445,8 +445,10 @@ def media():
     request.files['f'].save(path)
 "#,
             FileId(0),
+            &BuildOptions::default(),
         )
         .unwrap()
+        .graph
     }
 
     #[test]
@@ -482,8 +484,10 @@ def media():
         let g = build_source(
             "from m import src, sink\nx = src()\ny = x.append(1)\nsink(y)\n",
             FileId(0),
+            &BuildOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .graph;
         let mut seed = TaintSpec::new();
         seed.blacklist("*.append()");
         let sys = generate(&g, &seed, &opts());
@@ -580,8 +584,10 @@ def media():
         let g1 = build_source(
             "from m import src, sink\nx = src()\nsink(x)\n",
             FileId(1),
+            &BuildOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .graph;
         let boundary = g.event_count();
         g.union(&g1);
         let o = opts();

@@ -9,11 +9,12 @@
 //!
 //! ```
 //! use seldon_constraints::{generate, GenOptions};
-//! use seldon_propgraph::{build_source, FileId};
+//! use seldon_propgraph::{build_source, BuildOptions, FileId};
 //! use seldon_specs::TaintSpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = build_source("from m import f\nx = f()\n", FileId(0))?;
+//! let graph = build_source("from m import f\nx = f()\n", FileId(0), &BuildOptions::default())?
+//!     .graph;
 //! let opts = GenOptions { rep_cutoff: 1, ..Default::default() };
 //! let system = generate(&graph, &TaintSpec::new(), &opts);
 //! assert!(system.var_count() > 0);

@@ -25,10 +25,9 @@ use seldon_cache::{
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::Corpus;
-use seldon_jsfront::{build_js_source, build_js_source_lenient_timed, build_js_source_timed};
+use seldon_jsfront::build_js_source;
 use seldon_propgraph::{
-    build_source, build_source_lenient_timed, build_source_timed, Budget, BuildError,
-    BuildTimings, FileId, PropagationGraph,
+    build_source, Budget, BuildError, BuildOptions, BuildTimings, Built, FileId, PropagationGraph,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
@@ -65,6 +64,18 @@ impl Frontend {
             Frontend::Js
         } else {
             Frontend::Python
+        }
+    }
+
+    /// Builds one file's propagation graph with this frontend.
+    ///
+    /// # Errors
+    ///
+    /// As [`seldon_propgraph::build_source`].
+    pub fn build(self, src: &str, file: FileId, opts: &BuildOptions) -> Result<Built, BuildError> {
+        match self {
+            Frontend::Python => build_source(src, file, opts),
+            Frontend::Js => build_js_source(src, file, opts),
         }
     }
 
@@ -226,35 +237,21 @@ fn analyze_one(
         if opts.fault_markers && content.contains(seldon_corpus::PANIC_MARKER) {
             panic!("injected panic ({})", seldon_corpus::PANIC_MARKER);
         }
-        let strict = match frontend {
-            Frontend::Python => build_source_timed(content, id, opts.budget.as_ref()),
-            Frontend::Js => build_js_source_timed(content, id, opts.budget.as_ref()),
-        };
-        let over_budget = |limit| {
-            let error = PipelineError::OverBudget { path: path.to_string(), limit };
-            (None, FileOutcome::OverBudget { error }, BuildTimings::default())
-        };
-        match strict {
-            Ok((g, timings)) => (Some(g), FileOutcome::Ok, timings),
-            Err(BuildError::OverBudget(limit)) => over_budget(limit),
-            Err(BuildError::Frontend(_)) if opts.policy == FaultPolicy::Recover => {
-                // Lenient retry; only a budget trip can still fail.
-                let lenient = match frontend {
-                    Frontend::Python => {
-                        build_source_lenient_timed(content, id, opts.budget.as_ref())
-                    }
-                    Frontend::Js => {
-                        build_js_source_lenient_timed(content, id, opts.budget.as_ref())
-                    }
-                };
-                match lenient {
-                    Ok((g, errors, timings)) => (
-                        Some(g),
-                        FileOutcome::Recovered { errors: errors.len().max(1) },
-                        timings,
-                    ),
-                    Err(limit) => over_budget(limit),
-                }
+        let mut build_opts = BuildOptions { lenient: false, budget: opts.budget.clone() };
+        let mut built = frontend.build(content, id, &build_opts);
+        if matches!(built, Err(BuildError::Frontend(_))) && opts.policy == FaultPolicy::Recover {
+            // Lenient retry; only a budget trip can still fail.
+            build_opts.lenient = true;
+            built = frontend.build(content, id, &build_opts);
+        }
+        match built {
+            Ok(Built { graph, errors, timings }) if build_opts.lenient => {
+                (Some(graph), FileOutcome::Recovered { errors: errors.len() }, timings)
+            }
+            Ok(b) => (Some(b.graph), FileOutcome::Ok, b.timings),
+            Err(BuildError::OverBudget(limit)) => {
+                let error = PipelineError::OverBudget { path: path.to_string(), limit };
+                (None, FileOutcome::OverBudget { error }, BuildTimings::default())
             }
             Err(BuildError::Frontend(e)) => {
                 let error = PipelineError::Parse {
@@ -651,15 +648,10 @@ pub fn analyze_project(corpus: &Corpus, project: usize) -> Result<AnalyzedCorpus
     let mut files = Vec::new();
     for f in &corpus.projects[project].files {
         let id = FileId(files.len() as u32);
-        let g = match Frontend::of_path(&f.path) {
-            Frontend::Python => build_source(&f.content, id),
-            Frontend::Js => build_js_source(&f.content, id),
-        }
-        .map_err(|e| PipelineError::Parse {
-            path: f.path.clone(),
-            message: e.to_string(),
-        })?;
-        graph.union(&g);
+        let built = Frontend::of_path(&f.path)
+            .build(&f.content, id, &BuildOptions::default())
+            .map_err(|e| PipelineError::Parse { path: f.path.clone(), message: e.to_string() })?;
+        graph.union(&built.graph);
         files.push(FileMeta { project, path: f.path.clone() });
     }
     Ok(AnalyzedCorpus {

@@ -153,7 +153,7 @@ mod tests {
     use crate::generator::{generate_corpus, CorpusOptions};
     use crate::universe::Universe;
     use seldon_propgraph::{
-        build_source, build_source_timed, Budget, BudgetExceeded, BuildError, FileId,
+        build_source, Budget, BudgetExceeded, BuildError, BuildOptions, FileId,
     };
 
     const CLEAN: &str = "import flask\n\ndef handler():\n    x = flask.request.args.get('q')\n    return x\n";
@@ -169,7 +169,7 @@ mod tests {
         for kind in [FaultKind::Truncated, FaultKind::BadIndent, FaultKind::CorruptBytes] {
             let s = faulted(kind);
             assert!(
-                build_source(&s, FileId(0)).is_err(),
+                build_source(&s, FileId(0), &BuildOptions::default()).is_err(),
                 "{kind:?} should break strict parsing:\n{s}"
             );
         }
@@ -177,25 +177,26 @@ mod tests {
 
     #[test]
     fn budget_faults_parse_but_trip_default_budget() {
+        let budgeted = BuildOptions { lenient: false, budget: Some(Budget::default()) };
         let deep = faulted(FaultKind::DeepNesting);
         assert!(matches!(
-            build_source_timed(&deep, FileId(0), Some(&Budget::default())),
+            build_source(&deep, FileId(0), &budgeted),
             Err(BuildError::OverBudget(BudgetExceeded::Depth { .. }))
         ));
         let big = faulted(FaultKind::Oversized);
         assert!(matches!(
-            build_source_timed(&big, FileId(0), Some(&Budget::default())),
+            build_source(&big, FileId(0), &budgeted),
             Err(BuildError::OverBudget(BudgetExceeded::SourceBytes { .. }))
         ));
         // Without a budget, deep nesting is merely slow, not fatal.
-        assert!(build_source(&deep, FileId(0)).is_ok());
+        assert!(build_source(&deep, FileId(0), &BuildOptions::default()).is_ok());
     }
 
     #[test]
     fn panic_marker_file_stays_parseable() {
         let s = faulted(FaultKind::PanicMarker);
         assert!(s.contains(PANIC_MARKER));
-        assert!(build_source(&s, FileId(0)).is_ok());
+        assert!(build_source(&s, FileId(0), &BuildOptions::default()).is_ok());
     }
 
     #[test]

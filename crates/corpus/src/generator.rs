@@ -717,7 +717,7 @@ fn js_template(t: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId};
 
     fn small() -> Corpus {
         generate_corpus(
@@ -753,8 +753,9 @@ mod tests {
         let c = small();
         assert!(c.file_count() >= 10);
         for (i, (_, f)) in c.files().enumerate() {
-            let g = build_source(&f.content, FileId(i as u32))
-                .unwrap_or_else(|e| panic!("file {} failed: {e}\n{}", f.path, f.content));
+            let g = build_source(&f.content, FileId(i as u32), &BuildOptions::default())
+                .unwrap_or_else(|e| panic!("file {} failed: {e}\n{}", f.path, f.content))
+                .graph;
             assert!(g.event_count() > 0, "no events in {}", f.path);
         }
     }
@@ -816,7 +817,7 @@ mod tests {
             .iter()
             .find(|sf| sf.path == vuln.file)
             .unwrap();
-        let g = build_source(&file.content, FileId(0)).unwrap();
+        let g = build_source(&file.content, FileId(0), &BuildOptions::default()).unwrap().graph;
         let analyzer = TaintAnalyzer::new(&g, &oracle);
         let violations = analyzer.find_violations();
         assert!(
@@ -862,7 +863,7 @@ mod tests {
                 .iter()
                 .find(|sf| sf.path == truth.file)
                 .unwrap();
-            let g = build_source(&file.content, FileId(0)).unwrap();
+            let g = build_source(&file.content, FileId(0), &BuildOptions::default()).unwrap().graph;
             let analyzer = TaintAnalyzer::new(&g, &oracle);
             let violations = analyzer.find_violations();
             assert!(
@@ -913,8 +914,9 @@ mod tests {
         let c = small_js();
         assert!(c.file_count() >= 10);
         for (i, (_, f)) in c.files().enumerate() {
-            let g = build_js_source(&f.content, FileId(i as u32))
-                .unwrap_or_else(|e| panic!("file {} failed: {e}\n{}", f.path, f.content));
+            let g = build_js_source(&f.content, FileId(i as u32), &BuildOptions::default())
+                .unwrap_or_else(|e| panic!("file {} failed: {e}\n{}", f.path, f.content))
+                .graph;
             assert!(g.event_count() > 0, "no events in {}", f.path);
         }
     }
@@ -941,7 +943,7 @@ mod tests {
             .iter()
             .find(|sf| sf.path == vuln.file)
             .unwrap();
-        let g = build_js_source(&file.content, FileId(0)).unwrap();
+        let g = build_js_source(&file.content, FileId(0), &BuildOptions::default()).unwrap().graph;
         let analyzer = TaintAnalyzer::new(&g, &oracle);
         let violations = analyzer.find_violations();
         assert!(

@@ -13,14 +13,15 @@
 //!
 //! ```
 //! use seldon_jsfront::build_js_source;
-//! use seldon_propgraph::FileId;
+//! use seldon_propgraph::{BuildOptions, FileId};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = build_js_source(
+//! let built = build_js_source(
 //!     "const express = require('express');\nconst app = express();\n",
 //!     FileId(0),
+//!     &BuildOptions::default(),
 //! )?;
-//! assert!(graph.event_count() >= 1);
+//! assert!(built.graph.event_count() >= 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -35,107 +36,22 @@ pub mod parser;
 pub use lower::{lower_js_program, lower_js_program_budgeted, lower_js_source};
 pub use parser::{parse, parse_lenient};
 
-use seldon_ir::FrontendError;
-use seldon_propgraph::{
-    build_ir, Budget, BudgetExceeded, BuildError, BuildTimings, FileId, PropagationGraph,
-};
-use std::time::Instant;
+use seldon_propgraph::{build_frontend, BuildError, BuildOptions, Built, FileId};
 
-/// Checks the source-size budget shared by the budgeted entry points
-/// (mirrors the Python frontend's pre-parse gate).
-fn check_source_size(source: &str, budget: &Budget) -> Result<(), BudgetExceeded> {
-    if source.len() > budget.max_source_bytes {
-        return Err(BudgetExceeded::SourceBytes {
-            limit: budget.max_source_bytes,
-            actual: source.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Parses JS-like `source` and builds its propagation graph.
+/// Parses JS-like `src` and builds its propagation graph through the
+/// shared, language-blind [`build_frontend`].
 ///
 /// # Errors
 ///
-/// Returns a [`FrontendError`] if the source fails to lex or parse.
-pub fn build_js_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let program = parse(source)?;
-    Ok(build_ir(&lower_js_program(&program), file))
-}
-
-/// Like [`build_js_source`] but recovers from statement-level parse
-/// errors: malformed statements are skipped and reported, the rest of the
-/// file is analyzed.
-pub fn build_js_source_lenient(
-    source: &str,
-    file: FileId,
-) -> (PropagationGraph, Vec<FrontendError>) {
-    let (program, errors) = parse_lenient(source);
-    (build_ir(&lower_js_program(&program), file), errors)
-}
-
-/// Strict build under an optional resource [`Budget`], reporting the
-/// parse/build phase split. The budget-optional superset of
-/// [`build_js_source`].
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_js_source_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, BuildTimings), BuildError> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let program = parse(source)?;
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let ir = match budget {
-        Some(b) => lower_js_program_budgeted(&program, b)?,
-        None => lower_js_program(&program),
-    };
-    let graph = build_ir(&ir, file);
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, timings))
-}
-
-/// Lenient build under an optional resource [`Budget`], reporting the
-/// parse/build phase split; only a budget trip fails the whole file. The
-/// budget-optional superset of [`build_js_source_lenient`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_js_source_lenient_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, Vec<FrontendError>, BuildTimings), BudgetExceeded> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let (program, errors) = parse_lenient(source);
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let ir = match budget {
-        Some(b) => lower_js_program_budgeted(&program, b)?,
-        None => lower_js_program(&program),
-    };
-    let graph = build_ir(&ir, file);
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, errors, timings))
+/// As [`seldon_propgraph::build_source`].
+pub fn build_js_source(src: &str, file: FileId, opts: &BuildOptions) -> Result<Built, BuildError> {
+    build_frontend(src, file, opts, parse, parse_lenient, lower_js_program_budgeted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seldon_propgraph::{Budget, BudgetExceeded};
 
     #[test]
     fn end_to_end_flow_reaches_sink() {
@@ -145,7 +61,7 @@ mod tests {
                      query(name);\n\
                      return name;\n\
                    }\n";
-        let g = build_js_source(src, FileId(3)).expect("builds");
+        let g = build_js_source(src, FileId(3), &BuildOptions::default()).expect("builds").graph;
         let param = g
             .events()
             .find(|(_, e)| e.has_rep("route(param req)"))
@@ -179,15 +95,17 @@ mod tests {
     #[test]
     fn lenient_build_reports_errors_and_keeps_going() {
         let src = "const a = f(;\nconst fs = require('fs');\nfs.readFile(p);\n";
-        let (g, errors) = build_js_source_lenient(src, FileId(0));
-        assert_eq!(errors.len(), 1);
-        assert!(g.events().any(|(_, e)| e.has_rep("fs.readFile()")));
+        let lenient = BuildOptions { lenient: true, budget: None };
+        let built = build_js_source(src, FileId(0), &lenient).expect("lenient builds");
+        assert_eq!(built.errors.len(), 1);
+        assert!(built.graph.events().any(|(_, e)| e.has_rep("fs.readFile()")));
     }
 
     #[test]
     fn budgeted_build_trips_on_source_size() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
-        let err = build_js_source_timed("const a = b;", FileId(0), Some(&tight)).unwrap_err();
+        let opts = BuildOptions { lenient: false, budget: Some(tight) };
+        let err = build_js_source("const a = b;", FileId(0), &opts).unwrap_err();
         assert!(matches!(
             err,
             BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })

@@ -34,7 +34,8 @@ pub fn lower_js_program(program: &Program) -> IrProgram {
     l.into_ir()
 }
 
-/// Lowers one parsed program under a resource [`Budget`].
+/// Lowers one parsed program under an optional resource [`Budget`]
+/// (`None` meters nothing and never trips).
 ///
 /// # Errors
 ///
@@ -42,10 +43,10 @@ pub fn lower_js_program(program: &Program) -> IrProgram {
 /// or deadline limit; the partial IR is discarded.
 pub fn lower_js_program_budgeted(
     program: &Program,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<IrProgram, BudgetExceeded> {
     let mut l = Lowerer::new();
-    l.meter = Some(BudgetMeter::new(budget.clone()));
+    l.meter = budget.cloned().map(BudgetMeter::new);
     l.run(program);
     if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
         return Err(e);
@@ -821,7 +822,7 @@ mod tests {
     fn lower_budgeted_trips() {
         let program = parse("var a = 1;\nvar b = 2;\nvar c = 3;\n").unwrap();
         let tight = Budget { max_statements: 1, ..Budget::unlimited() };
-        let err = lower_js_program_budgeted(&program, &tight).unwrap_err();
+        let err = lower_js_program_budgeted(&program, Some(&tight)).unwrap_err();
         assert!(matches!(err, BudgetExceeded::Statements { .. }));
     }
 }

@@ -10,11 +10,12 @@
 //!
 //! ```
 //! use seldon_merlin::{run_merlin, MerlinOptions};
-//! use seldon_propgraph::{build_source, FileId};
+//! use seldon_propgraph::{build_source, BuildOptions, FileId};
 //! use seldon_specs::TaintSpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = build_source("from m import f\nx = f()\n", FileId(0))?;
+//! let graph = build_source("from m import f\nx = f()\n", FileId(0), &BuildOptions::default())?
+//!     .graph;
 //! let result = run_merlin(&graph, &TaintSpec::new(), &MerlinOptions::default());
 //! assert!(result.factors < 10);
 //! # Ok(())

@@ -281,7 +281,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId};
 
     fn sample_graph() -> PropagationGraph {
         build_source(
@@ -294,8 +294,10 @@ y = clean(x)
 os.system(y)
 ",
             FileId(0),
+            &BuildOptions::default(),
         )
         .unwrap()
+        .graph
     }
 
     fn seed() -> TaintSpec {

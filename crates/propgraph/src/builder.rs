@@ -1,4 +1,4 @@
-//! Builds propagation graphs from Python source (§5).
+//! Builds propagation graphs from source (§5).
 //!
 //! Events are function calls, object reads, and formal parameters; flow
 //! edges follow the paper's rules: calls propagate arguments (and receiver
@@ -8,53 +8,52 @@
 //! and returns (the paper's method inlining), and an Andersen points-to
 //! analysis adds field-aliasing flow the environment threading misses.
 //!
-//! Since the IR split, this module is a thin façade: the Python-specific
-//! walk lives in [`crate::lower`] (pyast → `IrProgram`), the language-blind
-//! construction in [`crate::irbuild`] (`IrProgram` → graph). The entry
-//! points here compose the two and keep the original API, budgets, and
-//! fault behavior byte-for-byte.
+//! The per-language walk lives in each frontend's lowering (Python:
+//! [`crate::lower`], pyast → `IrProgram`), the graph construction in
+//! [`crate::irbuild`] (`IrProgram` → graph). [`build_frontend`] is the one
+//! language-blind step between them: source-size gate, timed strict or
+//! lenient parse, metered lowering, [`build_ir`]. Each frontend's entry
+//! ([`build_source`] here, `seldon_jsfront::build_js_source`) only names
+//! its parse pair and its lowering.
 
 use crate::budget::{Budget, BudgetExceeded};
 use crate::event::FileId;
 use crate::graph::PropagationGraph;
 use crate::irbuild::build_ir;
-use crate::lower::{lower_module, lower_module_budgeted};
-use seldon_pyast::ast::Module;
+use crate::lower::lower_module_budgeted;
+use seldon_ir::IrProgram;
 use seldon_pyast::{parse, parse_lenient, FrontendError};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Builds the propagation graph of one parsed module.
-pub fn build_module(module: &Module, file: FileId) -> PropagationGraph {
-    build_ir(&lower_module(module), file)
+/// The two choices a caller makes per build.
+#[derive(Debug, Clone, Default)]
+pub struct BuildOptions {
+    /// Recover from statement-level parse errors: malformed statements are
+    /// skipped and reported in [`Built::errors`], the rest of the file is
+    /// analyzed. The right mode for arbitrary repository code.
+    pub lenient: bool,
+    /// Per-file resource budget: the source size is checked before parsing
+    /// and the lowering is metered cooperatively. `None` never trips.
+    pub budget: Option<Budget>,
 }
 
-/// Parses `source` and builds its propagation graph.
-///
-/// # Errors
-///
-/// Returns a [`FrontendError`] if the source fails to lex or parse.
-pub fn build_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let module = parse(source)?;
-    Ok(build_module(&module, file))
+/// A successful build.
+#[derive(Debug)]
+pub struct Built {
+    /// The file's propagation graph.
+    pub graph: PropagationGraph,
+    /// Parse errors recovered from (always empty for a strict build).
+    pub errors: Vec<FrontendError>,
+    /// Parse/build phase split of this build.
+    pub timings: BuildTimings,
 }
 
-/// Like [`build_source`] but recovers from statement-level parse errors:
-/// malformed statements are skipped and reported, the rest of the file is
-/// analyzed. This is the right entry point for arbitrary repository code.
-pub fn build_source_lenient(
-    source: &str,
-    file: FileId,
-) -> (PropagationGraph, Vec<FrontendError>) {
-    let (module, errors) = parse_lenient(source);
-    (build_module(&module, file), errors)
-}
-
-/// Failure of a budgeted build: either the front end rejected the source,
-/// or a resource budget was exceeded.
+/// Failure of a build: either the front end rejected the source, or a
+/// resource budget was exceeded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
-    /// The source failed to lex or parse.
+    /// The source failed to lex or parse (strict builds only).
     Frontend(FrontendError),
     /// A [`Budget`] limit was exceeded.
     OverBudget(BudgetExceeded),
@@ -83,42 +82,15 @@ impl From<BudgetExceeded> for BuildError {
     }
 }
 
-/// Checks the source-size budget shared by the budgeted entry points.
-pub(crate) fn check_source_size(source: &str, budget: &Budget) -> Result<(), BudgetExceeded> {
-    if source.len() > budget.max_source_bytes {
-        return Err(BudgetExceeded::SourceBytes {
-            limit: budget.max_source_bytes,
-            actual: source.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Builds the graph of a parsed module under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
-/// or deadline limit; the partially built graph is discarded.
-pub fn build_module_budgeted(
-    module: &Module,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BudgetExceeded> {
-    let ir = lower_module_budgeted(module, budget)?;
-    Ok(build_ir(&ir, file))
-}
-
-/// Wall-clock split of one file's front-end work, reported by the
-/// `*_timed` entry points. The telemetry layer sums these per-file
-/// durations across worker threads into the `parse` and `propgraph`
-/// aggregate stage spans.
+/// Wall-clock split of one file's front-end work. The telemetry layer
+/// sums these per-file durations across worker threads into the `parse`
+/// and `propgraph` aggregate stage spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildTimings {
     /// Time spent lexing and parsing the source into an AST.
     pub parse: Duration,
-    /// Time spent walking the AST into a propagation graph (including the
-    /// points-to solve and call linking).
+    /// Time spent lowering the AST and building the propagation graph
+    /// (including the points-to solve and call linking).
     pub build: Duration,
 }
 
@@ -130,73 +102,56 @@ impl BuildTimings {
     }
 }
 
-/// Strict build under an optional resource [`Budget`] (the source size is
-/// checked before parsing and the graph walk is metered cooperatively),
-/// reporting the parse/build phase split. The budget-optional superset
-/// of [`build_source`].
+/// Parses Python `source` and builds its propagation graph.
 ///
 /// # Errors
 ///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_source_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, BuildTimings), BuildError> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let module = parse(source)?;
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let graph = match budget {
-        Some(b) => build_module_budgeted(&module, file, b)?,
-        None => build_module(&module, file),
-    };
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, timings))
+/// Returns [`BuildError::Frontend`] when a strict build fails to lex or
+/// parse, and [`BuildError::OverBudget`] when a budget limit trips (never
+/// with `budget: None`).
+pub fn build_source(source: &str, file: FileId, opts: &BuildOptions) -> Result<Built, BuildError> {
+    build_frontend(source, file, opts, parse, parse_lenient, lower_module_budgeted)
 }
 
-/// Lenient build under an optional resource [`Budget`], reporting the
-/// parse/build phase split: parse errors degrade per statement as usual
-/// and only a budget trip fails the whole file. The budget-optional
-/// superset of [`build_source_lenient`].
+/// The language-blind build shared by every frontend: source-size gate,
+/// timed strict or lenient parse, metered lowering, [`build_ir`]. A
+/// frontend supplies its strict/lenient parse pair and its lowering.
 ///
 /// # Errors
 ///
-/// Returns [`BudgetExceeded`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_source_lenient_timed(
+/// As [`build_source`].
+pub fn build_frontend<A>(
     source: &str,
     file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, Vec<FrontendError>, BuildTimings), BudgetExceeded> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
+    opts: &BuildOptions,
+    parse: fn(&str) -> Result<A, FrontendError>,
+    parse_lenient: fn(&str) -> (A, Vec<FrontendError>),
+    lower: fn(&A, Option<&Budget>) -> Result<IrProgram, BudgetExceeded>,
+) -> Result<Built, BuildError> {
+    let budget = opts.budget.as_ref();
+    if let Some(b) = budget.filter(|b| source.len() > b.max_source_bytes) {
+        let limit = b.max_source_bytes;
+        return Err(BudgetExceeded::SourceBytes { limit, actual: source.len() }.into());
     }
     let parse_started = Instant::now();
-    let (module, errors) = parse_lenient(source);
+    let (ast, errors) =
+        if opts.lenient { parse_lenient(source) } else { (parse(source)?, Vec::new()) };
     let parse_time = parse_started.elapsed();
     let build_started = Instant::now();
-    let graph = match budget {
-        Some(b) => build_module_budgeted(&module, file, b)?,
-        None => build_module(&module, file),
-    };
+    let graph = build_ir(&lower(&ast, budget)?, file);
     let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, errors, timings))
+    Ok(Built { graph, errors, timings })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::{EventId, EventKind};
     use seldon_specs::Role;
 
-    fn build(src: &str) -> PropagationGraph {
-        build_source(src, FileId(0)).expect("source builds")
+    /// Strict, unbudgeted build of a test snippet.
+    pub(crate) fn build(src: &str) -> PropagationGraph {
+        build_source(src, FileId(0), &BuildOptions::default()).expect("source builds").graph
     }
 
     fn find(g: &PropagationGraph, rep: &str) -> EventId {
@@ -495,38 +450,40 @@ for i in range(3):
         // The malformed line must not open a bracket (implicit joining
         // would swallow the rest of the file into one logical line).
         let src = "from m import src, sink\nx = src()\nbroken = = 3\nsink(x)\n";
-        let (g, errors) = build_source_lenient(src, FileId(0));
-        assert_eq!(errors.len(), 1);
+        let lenient = BuildOptions { lenient: true, budget: None };
+        let built = build_source(src, FileId(0), &lenient).expect("lenient builds");
+        assert_eq!(built.errors.len(), 1);
+        let g = built.graph;
         assert!(g.is_reachable(find(&g, "m.src()"), find(&g, "m.sink()")));
     }
 
     #[test]
-    fn timed_builds_match_untimed() {
+    fn every_mode_builds_the_same_graph() {
         let src = "from m import src, sink\nx = src()\nsink(x)\n";
-        let (g, t) = build_source_timed(src, FileId(0), None).expect("builds");
-        let plain = build_source(src, FileId(0)).unwrap();
-        assert_eq!(g.event_count(), plain.event_count());
-        assert_eq!(g.edge_count(), plain.edge_count());
-        // Durations are reported (possibly zero on coarse clocks), and the
-        // lenient variant agrees.
-        let mut total = BuildTimings::default();
-        total.add(t);
-        assert_eq!(total, t);
-        let (g2, errors, _) =
-            build_source_lenient_timed(src, FileId(0), None).expect("builds");
-        assert!(errors.is_empty());
-        assert_eq!(g2.event_count(), plain.event_count());
+        let plain = build(src);
+        for lenient in [false, true] {
+            for budget in [None, Some(Budget::default())] {
+                let built = build_source(src, FileId(0), &BuildOptions { lenient, budget })
+                    .expect("builds");
+                assert!(built.errors.is_empty());
+                assert_eq!(built.graph.event_count(), plain.event_count());
+                assert_eq!(built.graph.edge_count(), plain.edge_count());
+                // Durations are reported (possibly zero on coarse clocks).
+                let mut total = BuildTimings::default();
+                total.add(built.timings);
+                assert_eq!(total, built.timings);
+            }
+        }
     }
 
     #[test]
-    fn timed_build_honors_budget() {
+    fn build_honors_budget() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
-        let src = "x = 1\n";
-        let err = build_source_timed(src, FileId(0), Some(&tight)).unwrap_err();
-        assert!(matches!(err, BuildError::OverBudget(_)));
-        let err =
-            build_source_lenient_timed(src, FileId(0), Some(&tight)).unwrap_err();
-        assert!(matches!(err, BudgetExceeded::SourceBytes { .. }));
+        for lenient in [false, true] {
+            let opts = BuildOptions { lenient, budget: Some(tight.clone()) };
+            let err = build_source("x = 1\n", FileId(0), &opts).unwrap_err();
+            assert!(matches!(err, BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })));
+        }
     }
 
     #[test]

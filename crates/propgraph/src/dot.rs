@@ -52,16 +52,11 @@ pub fn to_dot(graph: &PropagationGraph, roles: &HashMap<crate::EventId, RoleSet>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_source;
-    use crate::event::FileId;
+    use crate::builder::tests::build;
 
     #[test]
     fn dot_contains_nodes_and_edges() {
-        let g = build_source(
-            "from m import f, g\nx = f()\ng(x)\n",
-            FileId(0),
-        )
-        .unwrap();
+        let g = build("from m import f, g\nx = f()\ng(x)\n");
         let dot = to_dot(&g, &HashMap::new());
         assert!(dot.starts_with("digraph propagation {"));
         assert!(dot.contains("m.f()"));
@@ -72,7 +67,7 @@ mod tests {
 
     #[test]
     fn roles_color_nodes() {
-        let g = build_source("from m import f\nx = f()\n", FileId(0)).unwrap();
+        let g = build("from m import f\nx = f()\n");
         let id = g.events().next().unwrap().0;
         let mut roles = HashMap::new();
         roles.insert(id, RoleSet::only(Role::Source));
@@ -82,11 +77,7 @@ mod tests {
 
     #[test]
     fn receiver_edges_are_dashed() {
-        let g = build_source(
-            "from flask import request\nx = request.args.get('q')\n",
-            FileId(0),
-        )
-        .unwrap();
+        let g = build("from flask import request\nx = request.args.get('q')\n");
         let dot = to_dot(&g, &HashMap::new());
         assert!(dot.contains("style=dashed"), "{dot}");
     }

@@ -149,9 +149,9 @@ sink(o.data)
 y = helper(src())
 sink(y)
 ";
-        let direct = crate::builder::build_source(src, FileId(3)).expect("builds");
+        let direct = crate::builder::tests::build(src);
         let ir = lower_source(src).expect("lowers");
-        let replayed = build_ir(&ir, FileId(3));
+        let replayed = build_ir(&ir, FileId(0));
         assert_eq!(direct.event_count(), replayed.event_count());
         assert_eq!(direct.edge_count(), replayed.edge_count());
         for (id, e) in direct.events() {

@@ -9,14 +9,15 @@
 //! ## Example
 //!
 //! ```
-//! use seldon_propgraph::{build_source, FileId};
+//! use seldon_propgraph::{build_source, BuildOptions, FileId};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = build_source(
+//! let built = build_source(
 //!     "from flask import request\nname = request.args.get('n')\n",
 //!     FileId(0),
+//!     &BuildOptions::default(),
 //! )?;
-//! assert!(graph.event_count() >= 2);
+//! assert!(built.graph.event_count() >= 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -35,10 +36,7 @@ pub mod repr;
 pub mod stats;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
-pub use builder::{
-    build_module, build_module_budgeted, build_source, build_source_lenient,
-    build_source_lenient_timed, build_source_timed, BuildError, BuildTimings,
-};
+pub use builder::{build_frontend, build_source, BuildError, BuildOptions, BuildTimings, Built};
 pub use dot::to_dot;
 pub use event::{Event, EventId, EventKind, FileId};
 pub use graph::{ArgPos, EdgeKind, PropagationGraph};

@@ -37,7 +37,8 @@ pub fn lower_module(module: &Module) -> IrProgram {
     l.into_ir()
 }
 
-/// Lowers one parsed module under a resource [`Budget`].
+/// Lowers one parsed module under an optional resource [`Budget`]
+/// (`None` meters nothing and never trips).
 ///
 /// # Errors
 ///
@@ -45,10 +46,10 @@ pub fn lower_module(module: &Module) -> IrProgram {
 /// or deadline limit; the partial IR is discarded.
 pub fn lower_module_budgeted(
     module: &Module,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<IrProgram, BudgetExceeded> {
     let mut l = Lowerer::new();
-    l.meter = Some(BudgetMeter::new(budget.clone()));
+    l.meter = budget.cloned().map(BudgetMeter::new);
     l.run(module);
     if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
         return Err(e);
@@ -978,7 +979,7 @@ mod tests {
     fn lower_budgeted_trips() {
         let module = parse("x = 1\ny = 2\nz = 3\n").unwrap();
         let tight = Budget { max_statements: 1, ..Budget::unlimited() };
-        let err = lower_module_budgeted(&module, &tight).unwrap_err();
+        let err = lower_module_budgeted(&module, Some(&tight)).unwrap_err();
         assert!(matches!(err, BudgetExceeded::Statements { .. }));
     }
 

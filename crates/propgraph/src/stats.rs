@@ -103,16 +103,11 @@ impl std::fmt::Display for GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_source;
-    use crate::event::FileId;
+    use crate::builder::tests::build;
 
     #[test]
     fn stats_on_small_graph() {
-        let g = build_source(
-            "from flask import request\nimport os\nos.system(request.args.get('c'))\n",
-            FileId(0),
-        )
-        .unwrap();
+        let g = build("from flask import request\nimport os\nos.system(request.args.get('c'))\n");
         let s = graph_stats(&g);
         assert_eq!(s.events, g.event_count());
         assert_eq!(s.edges, g.edge_count());
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn isolated_events_counted() {
-        let g = build_source("from m import f\nx = f()\ny = f()\n", FileId(0)).unwrap();
+        let g = build("from m import f\nx = f()\ny = f()\n");
         let s = graph_stats(&g);
         // Both calls have no flow in or out.
         assert_eq!(s.isolated, 2);
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn params_counted() {
-        let g = build_source("def f(a, b):\n    return a\n", FileId(0)).unwrap();
+        let g = build("def f(a, b):\n    return a\n");
         let s = graph_stats(&g);
         assert_eq!(s.params, 2);
     }

@@ -26,8 +26,9 @@ pub fn parse(source: &str) -> Result<Module, crate::error::FrontendError> {
 ///
 /// Statements that fail to parse are skipped (the parser synchronizes to
 /// the next logical line, balancing indentation) and reported in the error
-/// list; everything else lands in the returned module. A file that fails to
-/// *lex* returns an empty module plus the lexical error.
+/// list; everything else lands in the returned module. An indented block
+/// that no parsed statement owns is one error and is skipped whole. A file
+/// that fails to *lex* returns an empty module plus the lexical error.
 ///
 /// This is what an analysis over arbitrary repository code wants: one
 /// malformed construct should cost one statement, not the whole file.
@@ -42,9 +43,11 @@ pub fn parse_lenient(source: &str) -> (Module, Vec<crate::error::FrontendError>)
     loop {
         match p.peek() {
             TokenKind::EndOfFile => break,
-            TokenKind::Newline | TokenKind::Indent | TokenKind::Dedent => {
+            TokenKind::Newline | TokenKind::Dedent => {
                 p.bump();
             }
+            // A stray `Indent` fails here like any broken statement, and
+            // `synchronize` skips the block it opens.
             _ => match p.parse_statement() {
                 Ok(stmts) => body.extend(stmts),
                 Err(e) => {
@@ -157,10 +160,13 @@ impl Parser {
                     }
                     depth -= 1;
                     self.bump();
+                    if depth == 0 {
+                        return;
+                    }
                 }
                 TokenKind::Newline => {
                     self.bump();
-                    if depth == 0 {
+                    if depth == 0 && self.peek() != &TokenKind::Indent {
                         return;
                     }
                 }
@@ -2106,6 +2112,25 @@ def media():
             .body
             .iter()
             .any(|s| matches!(&s.kind, StmtKind::FunctionDef(d) if d.name == "g")));
+    }
+
+    #[test]
+    fn lenient_reports_and_skips_a_stray_indented_block() {
+        let src = "cmd = f()\n        os.system(cmd)\n        g()\nh()\n";
+        assert!(parse(src).is_err());
+        let (m, errors) = parse_lenient(src);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(m.body.len(), 2, "the stray block is skipped: {:?}", m.body);
+    }
+
+    #[test]
+    fn lenient_skips_the_body_of_a_broken_header() {
+        let src = "if ready now:\n    os.system(cmd)\n    if x:\n        y()\nz = 1\n";
+        assert!(parse(src).is_err());
+        let (m, errors) = parse_lenient(src);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(m.body.len(), 1, "only `z = 1` survives: {:?}", m.body);
+        assert!(matches!(m.body[0].kind, StmtKind::Assign { .. }));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ## Example
 //!
 //! ```
-//! use seldon_propgraph::{build_source, FileId};
+//! use seldon_propgraph::{build_source, BuildOptions, FileId};
 //! use seldon_specs::TaintSpec;
 //! use seldon_taint::TaintAnalyzer;
 //!
@@ -19,7 +19,9 @@
 //! let graph = build_source(
 //!     "from flask import request, redirect\nredirect(request.args.get('next'))\n",
 //!     FileId(0),
-//! )?;
+//!     &BuildOptions::default(),
+//! )?
+//! .graph;
 //! let spec = TaintSpec::parse("o: flask.request.args.get()\ni: flask.redirect()\n")?;
 //! let analyzer = TaintAnalyzer::new(&graph, &spec);
 //! assert_eq!(analyzer.find_violations().len(), 1);
@@ -279,14 +281,18 @@ impl<'g> TaintAnalyzer<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::build_source;
+    use seldon_propgraph::{build_source, BuildOptions};
 
     fn spec(text: &str) -> TaintSpec {
         TaintSpec::parse(text).unwrap()
     }
 
+    fn build(src: &str) -> PropagationGraph {
+        build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph
+    }
+
     fn analyze(src: &str, spec_text: &str) -> Vec<Violation> {
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let spec = spec(spec_text);
         let analyzer = TaintAnalyzer::new(&graph, &spec);
         analyzer.find_violations()
@@ -369,11 +375,7 @@ os.system(y)
     fn candidate_filtering_blocks_read_sinks() {
         // A spec claiming an attribute read is a sink must be ignored
         // because reads are source-only candidates.
-        let graph = build_source(
-            "from flask import request\nx = request.args\n",
-            FileId(0),
-        )
-        .unwrap();
+        let graph = build("from flask import request\nx = request.args\n");
         let s = spec("i: flask.request.args\n");
         let analyzer = TaintAnalyzer::new(&graph, &s);
         assert_eq!(analyzer.events_with_role(Role::Sink).len(), 0);
@@ -388,7 +390,7 @@ import os
 x = clean(request.args.get('p'))
 os.system(x)
 ";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let s = spec("o: flask.request.args.get()\na: m.clean()\ni: os.system()\n");
         let a = TaintAnalyzer::new(&graph, &s);
         let (srcs, sans, snks) = a.role_counts();
@@ -417,7 +419,7 @@ subprocess.call(x)
 
     #[test]
     fn explicit_event_roles_merge() {
-        let graph = build_source("from m import f, g\ng(f())\n", FileId(0)).unwrap();
+        let graph = build("from m import f, g\ng(f())\n");
         let f_id = graph
             .events()
             .find(|(_, e)| e.rep() == "m.f()")
@@ -450,7 +452,7 @@ import subprocess
 x = request.args.get('p')
 subprocess.call(['ls'], env=x)
 ";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let mut s = spec("o: flask.request.args.get()\ni: subprocess.call()\n");
         // Without a signature the flow is reported.
         let a = TaintAnalyzer::with_options(
@@ -481,7 +483,7 @@ import subprocess
 x = request.args.get('p')
 subprocess.call(x)
 ";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let mut s = spec("o: flask.request.args.get()\ni: subprocess.call()\n");
         s.set_signature("subprocess.call()", SinkSignature::positional([0]));
         let a = TaintAnalyzer::with_options(

@@ -206,8 +206,12 @@ pub fn render_reports(violations: &[Violation], graph: &PropagationGraph) -> Str
 mod tests {
     use super::*;
     use crate::TaintAnalyzer;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, BuildOptions, FileId};
     use seldon_specs::TaintSpec;
+
+    fn build(src: &str) -> PropagationGraph {
+        build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph
+    }
 
     #[test]
     fn sink_classification() {
@@ -231,7 +235,7 @@ mod tests {
     #[test]
     fn rendered_report_cites_lines() {
         let src = "from flask import request\nimport os\nx = request.args.get('c')\nos.system(x)\n";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let spec =
             TaintSpec::parse("o: flask.request.args.get()\ni: os.system()\n").unwrap();
         let violations = TaintAnalyzer::new(&graph, &spec).find_violations();
@@ -244,7 +248,7 @@ mod tests {
     #[test]
     fn json_output_is_well_formed() {
         let src = "from flask import request\nimport os\nx = request.args.get('c \\\"quoted\\\"')\nos.system(x)\n";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let spec =
             TaintSpec::parse("o: flask.request.args.get()\ni: os.system()\n").unwrap();
         let violations = TaintAnalyzer::new(&graph, &spec).find_violations();
@@ -262,7 +266,7 @@ mod tests {
 
     #[test]
     fn json_empty_reports() {
-        let graph = build_source("x = 1\n", FileId(0)).unwrap();
+        let graph = build("x = 1\n");
         assert_eq!(reports_to_json(&[], &graph), "[]");
     }
 
@@ -275,7 +279,7 @@ x = request.args.get('c')
 flask.redirect(x)
 os.system(x)
 ";
-        let graph = build_source(src, FileId(0)).unwrap();
+        let graph = build(src);
         let spec = TaintSpec::parse(
             "o: flask.request.args.get()\ni: os.system()\ni: flask.redirect()\n",
         )

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run -p seldon-core --example param_sensitivity`
 
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 use seldon_specs::{SinkSignature, TaintSpec};
 use seldon_taint::{render_reports, TaintAnalyzer, TaintOptions};
 
@@ -26,7 +26,7 @@ def harmless():
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let graph = build_source(APP, FileId(0))?;
+    let graph = build_source(APP, FileId(0), &BuildOptions::default())?.graph;
     let mut spec = TaintSpec::parse(
         "o: flask.request.args.get()\n\
          i: subprocess.call()\n",

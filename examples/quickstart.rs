@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p seldon-core --example quickstart`
 
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 use seldon_specs::TaintSpec;
 use seldon_taint::TaintAnalyzer;
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("=== Propagation graph of the paper's Fig. 2 snippet ===\n");
-    let graph = build_source(SANITIZED, FileId(0))?;
+    let graph = build_source(SANITIZED, FileId(0), &BuildOptions::default())?.graph;
     for (id, event) in graph.events() {
         println!(
             "  {id}  [{}] {} (line {})",
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(violations.is_empty(), "the original snippet is safe");
 
     println!("\n=== Taint analysis, sanitizer removed ===");
-    let bad_graph = build_source(VULNERABLE, FileId(0))?;
+    let bad_graph = build_source(VULNERABLE, FileId(0), &BuildOptions::default())?.graph;
     let analyzer = TaintAnalyzer::new(&bad_graph, &spec);
     let violations = analyzer.find_violations();
     for v in &violations {

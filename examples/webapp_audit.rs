@@ -9,7 +9,7 @@
 
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 use seldon_taint::TaintAnalyzer;
 
 /// The application under audit. `webresp.render_page`, `dblib.query.run`
@@ -46,7 +46,7 @@ def legacy():
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let universe = Universe::new();
     let seed = universe.seed_spec();
-    let graph = build_source(APP, FileId(0))?;
+    let graph = build_source(APP, FileId(0), &BuildOptions::default())?.graph;
 
     println!("=== Audit with the seed specification only ===");
     let analyzer = TaintAnalyzer::new(&graph, &seed);

@@ -14,7 +14,7 @@ use seldon_core::{
     SeldonOptions,
 };
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Universe};
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 use seldon_specs::TaintSpec;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -238,7 +238,9 @@ mod proptests {
             recovered in 0usize..3,
         ) {
             let src = source_for(&pairs);
-            let graph = build_source(&src, FileId(3)).expect("generated source parses");
+            let graph = build_source(&src, FileId(3), &BuildOptions::default())
+                .expect("generated source parses")
+                .graph;
             let artifact = FileArtifact::from_graph(&graph, recovered);
             let payload = artifact.to_payload();
 

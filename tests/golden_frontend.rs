@@ -2,7 +2,7 @@
 //! GitHub corpus contains) must parse, round-trip through the unparser,
 //! build propagation graphs, and yield the expected representations.
 
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, BuildOptions, FileId};
 use seldon_pyast::{parse, unparse};
 
 /// Each case: a realistic snippet and the representations its graph must
@@ -131,8 +131,9 @@ fn golden_snippets_parse_and_build() {
         let module =
             parse(src).unwrap_or_else(|e| panic!("{name}: parse failed: {e}\n{src}"));
         assert!(!module.body.is_empty(), "{name}: empty module");
-        let graph = build_source(src, FileId(0))
-            .unwrap_or_else(|e| panic!("{name}: graph build failed: {e}"));
+        let graph = build_source(src, FileId(0), &BuildOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: graph build failed: {e}"))
+            .graph;
         for rep in *expected_reps {
             assert!(
                 graph.events().any(|(_, e)| e.has_rep(rep)),
@@ -165,8 +166,8 @@ fn golden_snippets_graph_shapes_are_stable() {
     // regressions surface loudly (update deliberately when the analysis
     // changes).
     for (name, src, _) in GOLDEN {
-        let g1 = build_source(src, FileId(0)).unwrap();
-        let g2 = build_source(src, FileId(0)).unwrap();
+        let g1 = build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph;
+        let g2 = build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph;
         assert_eq!(g1.event_count(), g2.event_count(), "{name}: nondeterministic events");
         assert_eq!(g1.edge_count(), g2.edge_count(), "{name}: nondeterministic edges");
         // Every graph here has at least one flow edge except pure-def ones.

@@ -1,11 +1,17 @@
 //! Fidelity tests: scenarios lifted directly from the paper's figures,
 //! examples, and appendix samples.
 
-use seldon_propgraph::{build_source, describe_expr, FileId, ReprCtx};
+use seldon_propgraph::{
+    build_source, describe_expr, BuildOptions, FileId, PropagationGraph, ReprCtx,
+};
 use seldon_pyast::parse_expr;
 use seldon_specs::{paper_seed, Role};
 use seldon_taint::TaintAnalyzer;
 use std::collections::HashMap;
+
+fn build(src: &str) -> PropagationGraph {
+    build_source(src, FileId(0), &BuildOptions::default()).unwrap().graph
+}
 
 /// §3.2 / Fig. 3: the ESCPOSDriver representation example, verbatim.
 #[test]
@@ -17,7 +23,7 @@ class ESCPOSDriver(ThreadDriver):
     def status(self, eprint):
         self.receipt('<div>' + msg + '</div>')
 ";
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let call = g
         .events()
         .find(|(_, e)| e.rep().contains("receipt"))
@@ -50,7 +56,7 @@ def media():
     if not os.path.exists(path):
         request.files['f'].save(path)
 "#;
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let find = |rep: &str| {
         g.events()
             .find(|(_, e)| e.has_rep(rep))
@@ -137,7 +143,7 @@ def safe_path():
     fn = utils.secure_filename(request.args.get('f'))
     return flask.send_file(fn)
 "#;
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let analyzer = TaintAnalyzer::new(&g, &seed);
     let violations = analyzer.find_violations();
     let sinks: Vec<&str> = violations.iter().map(|v| v.sink_rep.as_str()).collect();
@@ -167,7 +173,7 @@ def g():
     y = san(x)
     sink(y)
 ";
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let find = |rep: &str| {
         g.events()
             .find(|(_, e)| e.rep() == rep)
@@ -195,7 +201,7 @@ def view():
     name = request.args.get('n')
     return flask.render_template_string('{x}'.join(locals()))
 ";
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let analyzer = TaintAnalyzer::new(&g, &seed);
     // Flow: source -> name -> locals() -> join (blacklisted, pass-through
     // event is still created but plays no role) -> sink.
@@ -210,11 +216,8 @@ def view():
 #[test]
 fn blacklist_excludes_builtins_from_analysis() {
     let seed = paper_seed();
-    let g = build_source(
-        "from flask import request\nx = request.args.get('q')\ny = x.strip()\nz = len(y)\n",
-        FileId(0),
-    )
-    .unwrap();
+    let g =
+        build("from flask import request\nx = request.args.get('q')\ny = x.strip()\nz = len(y)\n");
     let analyzer = TaintAnalyzer::new(&g, &seed);
     for (id, event) in g.events() {
         if event.reps.iter().any(|r| r.as_str().ends_with(".strip()") || r.as_str() == "len()") {
@@ -227,7 +230,7 @@ fn blacklist_excludes_builtins_from_analysis() {
 #[test]
 fn fig2_dot_rendering() {
     let src = "from flask import request\nimport os\nos.system(request.args.get('c'))\n";
-    let g = build_source(src, FileId(0)).unwrap();
+    let g = build(src);
     let seed = paper_seed();
     let analyzer = TaintAnalyzer::new(&g, &seed);
     let mut roles = HashMap::new();

@@ -5,10 +5,15 @@
 use proptest::prelude::*;
 use seldon_constraints::{generate, GenOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_propgraph::{build_source, FileId};
+use seldon_core::Frontend;
+use seldon_propgraph::{build_source, BuildOptions, FileId, PropagationGraph};
 use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
 use seldon_specs::{Pattern, Role, RoleSet, TaintSpec};
+
+fn build(src: &str, file: FileId) -> PropagationGraph {
+    build_source(src, file, &BuildOptions::default()).expect("builds").graph
+}
 
 proptest! {
     /// The lexer never panics, whatever bytes it is fed.
@@ -49,7 +54,7 @@ proptest! {
         for i in 1..nvars {
             src.push_str(&format!("x{i} = f(x{})\n", i - 1));
         }
-        let g = build_source(&src, FileId(0)).expect("builds");
+        let g = build(&src, FileId(0));
         for (from, to) in g.edges() {
             prop_assert!(from.index() < g.event_count());
             prop_assert!(to.index() < g.event_count());
@@ -178,7 +183,7 @@ proptest! {
         );
         let mut graph = seldon_propgraph::PropagationGraph::new();
         for (i, (_, f)) in corpus.files().enumerate() {
-            let g = build_source(&f.content, FileId(i as u32)).unwrap();
+            let g = build(&f.content, FileId(i as u32));
             graph.union(&g);
         }
         let spec = u.seed_spec_with_signatures();
@@ -209,7 +214,7 @@ proptest! {
         );
         let mut graph = seldon_propgraph::PropagationGraph::new();
         for (i, (_, f)) in corpus.files().enumerate() {
-            let g = build_source(&f.content, FileId(i as u32)).unwrap();
+            let g = build(&f.content, FileId(i as u32));
             graph.union(&g);
         }
         let sys = generate(
@@ -237,7 +242,7 @@ proptest! {
         );
         let mut graph = seldon_propgraph::PropagationGraph::new();
         for (i, (_, f)) in corpus.files().enumerate() {
-            let g = build_source(&f.content, FileId(i as u32)).unwrap();
+            let g = build(&f.content, FileId(i as u32));
             graph.union(&g);
         }
         let sys = generate(
@@ -267,12 +272,10 @@ proptest! {
             );
             for (i, (_, f)) in corpus.files().enumerate() {
                 let file = FileId(i as u32);
-                let composed = match lang {
-                    Lang::Py => build_source(&f.content, file).expect("composed build"),
-                    Lang::Js => {
-                        seldon_jsfront::build_js_source(&f.content, file).expect("composed build")
-                    }
-                };
+                let composed = Frontend::of_path(&f.path)
+                    .build(&f.content, file, &BuildOptions::default())
+                    .expect("composed build")
+                    .graph;
                 let ir = match lang {
                     Lang::Py => seldon_propgraph::lower_source(&f.content).expect("lowering"),
                     Lang::Js => seldon_jsfront::lower_js_source(&f.content).expect("lowering"),
@@ -314,7 +317,7 @@ fn union_of_contracted_equals_contracted_union_size() {
     let corpus = generate_corpus(&u, &CorpusOptions { projects: 3, ..Default::default() });
     let mut graph = seldon_propgraph::PropagationGraph::new();
     for (i, (_, f)) in corpus.files().enumerate() {
-        let g = build_source(&f.content, FileId(i as u32)).unwrap();
+        let g = build(&f.content, FileId(i as u32));
         graph.union(&g);
     }
     let (collapsed, mapping) = graph.contract();
